@@ -48,7 +48,6 @@ from .protect import (
     LevelsCandidate,
     grow_levels_for_beta,
     optimal_protection_levels,
-    protection_consistency,
 )
 from .simplex import SimplexResult, SolverError, solve_simplex
 

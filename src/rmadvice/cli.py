@@ -49,7 +49,7 @@ def _require(cfg: dict, key: str):
 def _ladder(cfg: dict) -> core.FareLadder:
     try:
         return core.make_fare_ladder(_require(cfg, "fares"), _require(cfg, "capacity"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -60,18 +60,36 @@ def _advice(cfg: dict, ladder: core.FareLadder) -> core.Advice:
         raise ConfigError(str(exc)) from exc
 
 
+def _gamma(value, ladder: core.FareLadder) -> float:
+    """A competitiveness target, required to lie in [0, c(F)]."""
+    try:
+        gamma = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad gamma: {exc}") from exc
+    bound = core.bq_bound(ladder)
+    if not 0.0 <= gamma <= bound + 1e-12:
+        raise ConfigError(f"gamma {gamma!r} must lie in [0, c(F)] = [0, {bound!r}]")
+    return gamma
+
+
 def _gamma_grid(cfg: dict, ladder: core.FareLadder) -> np.ndarray:
     spec = cfg.get("gamma_grid")
     if spec is None:
         return frontier.default_gamma_grid(ladder)
-    if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
     try:
-        return np.linspace(
-            float(spec["min"]), float(spec["max"]), int(spec["points"])
-        )
+        if isinstance(spec, list):
+            grid = np.asarray(spec, dtype=float)
+        else:
+            grid = np.linspace(
+                float(spec["min"]), float(spec["max"]), int(spec["points"])
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad gamma_grid: {exc}") from exc
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError("gamma_grid must be a nonempty list of numbers")
+    for gamma in grid:
+        _gamma(gamma, ladder)
+    return grid
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -128,7 +146,7 @@ def cmd_simulate(cfg: dict, out: Path, args) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     policy = cfg.get("policy", "lp_optimal")
-    gamma = float(cfg.get("gamma", 0.0))
+    gamma = _gamma(cfg.get("gamma", 0.0), ladder)
     if policy == "lp_optimal":
         trace = policies.run_lp_optimal(ladder, advice, gamma, instance)
     elif policy == "lp_relaxed":
@@ -160,7 +178,7 @@ def cmd_simulate(cfg: dict, out: Path, args) -> None:
 def cmd_protect(cfg: dict, out: Path, args) -> None:
     ladder = _ladder(cfg)
     advice = _advice(cfg, ladder)
-    gamma = float(cfg.get("gamma", 0.0))
+    gamma = _gamma(cfg.get("gamma", 0.0), ladder)
     try:
         _, beta_lower = protect.optimal_protection_levels(
             ladder, advice, gamma, args.epsilon
@@ -175,7 +193,7 @@ def cmd_protect(cfg: dict, out: Path, args) -> None:
 def cmd_solve_lp(cfg: dict, out: Path, args) -> None:
     ladder = _ladder(cfg)
     advice = _advice(cfg, ladder)
-    gamma = float(cfg.get("gamma", 0.0))
+    gamma = _gamma(cfg.get("gamma", 0.0), ladder)
     try:
         model = lp.build_pareto_lp(ladder, advice, gamma)
     except ValueError as exc:
@@ -245,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="top-level RNG seed")
         p.add_argument("--epsilon", type=float, default=1e-6,
                        help="accuracy for binary searches / relaxed trigger")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; sweeps currently run single-threaded")
     return parser
 
 

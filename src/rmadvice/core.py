@@ -13,6 +13,7 @@ concatenations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +94,18 @@ def make_fare_ladder(fares, capacity: int) -> FareLadder:
     fares = tuple(float(f) for f in fares)
     if len(fares) == 0:
         raise ValueError("at least one fare class is required")
+    if not all(math.isfinite(f) for f in fares):
+        raise ValueError("fares must be finite")
     if fares[0] <= 0.0:
         raise ValueError("fares must be positive")
     for lo, hi in zip(fares, fares[1:]):
         if hi <= lo:
             raise ValueError("fares must be strictly increasing")
-    if int(capacity) != capacity or capacity < 1:
+    try:
+        whole = not isinstance(capacity, bool) and int(capacity) == capacity
+    except (OverflowError, TypeError, ValueError):
+        whole = False
+    if not whole or capacity < 1:
         raise ValueError("capacity must be a positive integer")
     return FareLadder(fares=fares, capacity=int(capacity))
 

@@ -217,21 +217,6 @@ def run_relaxed_optimal(
     return _run_switch(ladder, advice, instance, plan, 1.0 + epsilon, cap_phase1=True)
 
 
-def rounding_report(ladder: core.FareLadder, trace: PolicyTrace) -> dict:
-    """Integrality summary for a fractional policy run.
-
-    Reports how many acceptances were fractional and the relative revenue
-    degradation bound incurred by running the fractional policy with ``m``
-    seats held back and rounding acceptances up, which is at most ``m / n``.
-    """
-    fractional = int(np.sum((trace.accepted > 0.0) & (trace.accepted < 1.0)))
-    return {
-        "fractional_steps": fractional,
-        "reserved_seats": ladder.m,
-        "relative_degradation_bound": ladder.m / ladder.capacity,
-    }
-
-
 def trace_to_csv(ladder: core.FareLadder, trace: PolicyTrace) -> str:
     """Per-step CSV: fare, accepted fraction, cumulative counts, phase."""
     m = ladder.m

@@ -12,7 +12,6 @@ advice-shaped instance; a binary search then finds the largest feasible
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,25 +121,6 @@ def optimal_protection_levels(
     n = float(ladder.capacity)
     levels = tuple(min(v, n) for v in candidate.levels)
     return ProtectionLevels(levels=levels), lo
-
-
-def protection_consistency(
-    ladder: core.FareLadder,
-    advice: core.Advice,
-    gamma: float,
-    epsilon: float = 1e-6,
-) -> float:
-    """Realized consistency of the optimized levels on the advice instance."""
-    levels, _ = optimal_protection_levels(ladder, advice, gamma, epsilon)
-    revenue = block_revenue(
-        ladder.fares, np.asarray(levels.levels), _prefix_counts(ladder, advice, ladder.m)
-    )
-    return revenue / core.advice_opt(ladder, advice)
-
-
-def expected_search_passes(ladder: core.FareLadder, epsilon: float) -> int:
-    """Number of growing passes the binary search performs."""
-    return max(0, math.ceil(math.log2((1.0 - core.bq_bound(ladder)) / epsilon)))
 
 
 def levels_to_json(

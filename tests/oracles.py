@@ -1,15 +1,20 @@
 """Independent brute-force oracles used to cross-check the solvers.
 
-Everything here is deliberately naive: vertex enumeration for LPs and a
-direct per-arrival replay for policies.  Slow but obviously correct on the
-small cases the tests feed it.
+Everything here is deliberately naive: vertex enumeration for LPs, an
+element-by-element simplex pivot, and a direct per-arrival replay for
+policies.  Slow but obviously correct on the small cases the tests feed it.
+The module also holds summaries of solver results that only tests need.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from rmadvice import core, protect
+from rmadvice.policies import block_revenue
 
 
 def vertex_enumeration_lp(c, A, senses, b, upper=None, tol=1e-9):
@@ -71,3 +76,71 @@ def replay_protection(fares, levels, steps):
             q[k] += room
         revenue += room * fares[p]
     return revenue, q
+
+
+def reference_simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
+    """Reference Bland-rule pivot loop updating the tableau one element at
+    a time; same contract and return codes as ``kernels.simplex_iterate``."""
+    nrows = T.shape[0] - 1
+    rhs = T.shape[1] - 1
+    max_iters = 50000
+    for _ in range(max_iters):
+        enter = -1
+        for j in range(ncols):
+            if T[nrows, j] < -cost_tol:
+                enter = j
+                break
+        if enter < 0:
+            return 0
+        leave = -1
+        best = np.inf
+        for i in range(nrows):
+            coef = T[i, enter]
+            if coef > pivot_tol:
+                ratio = T[i, rhs] / coef
+                if ratio < best - 1e-15:
+                    best = ratio
+                    leave = i
+                elif ratio <= best + 1e-15 and leave >= 0 and basis[i] < basis[leave]:
+                    leave = i
+        if leave < 0:
+            return 1
+        piv = T[leave, enter]
+        for j in range(rhs + 1):
+            T[leave, j] /= piv
+        for i in range(nrows + 1):
+            if i != leave:
+                factor = T[i, enter]
+                if factor != 0.0:
+                    for j in range(rhs + 1):
+                        T[i, j] -= factor * T[leave, j]
+        basis[leave] = enter
+    return 2
+
+
+def protection_consistency(ladder, advice, gamma, epsilon=1e-6):
+    """Realized consistency of the optimized levels on the advice instance."""
+    levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, epsilon)
+    counts = protect._prefix_counts(ladder, advice, ladder.m)
+    revenue = block_revenue(ladder.fares, np.asarray(levels.levels), counts)
+    return revenue / core.advice_opt(ladder, advice)
+
+
+def expected_search_passes(ladder, epsilon):
+    """Number of bisection passes the protection-level search performs."""
+    return max(0, math.ceil(math.log2((1.0 - core.bq_bound(ladder)) / epsilon)))
+
+
+def rounding_report(ladder, trace):
+    """Integrality summary for a fractional policy run.
+
+    Reports how many acceptances were fractional and the relative revenue
+    degradation bound incurred by running the fractional policy with ``m``
+    seats held back and rounding acceptances up, which is at most ``m / n``.
+    """
+    fractional = int(np.sum((trace.accepted > 0.0) & (trace.accepted < 1.0)))
+    return {
+        "fractional_steps": fractional,
+        "reserved_seats": ladder.m,
+        "relative_degradation_bound": ladder.m / ladder.capacity,
+    }

@@ -44,6 +44,30 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("simulate", dict(BASE, gamma=0.6, instance=[1, 2, 3])),
+            ("simulate", dict(BASE, gamma=-0.1, instance=[1, 2, 3], policy="bq")),
+            ("frontier", dict(BASE, gamma_grid=[0.0, 0.6])),
+            ("frontier", dict(BASE, gamma_grid={"min": 0.0, "max": 0.5714, "points": 41})),
+            ("frontier", dict(BASE, gamma_grid=[])),
+            ("frontier", dict(BASE, fares=[1.0, 2.0, float("nan")])),
+            ("frontier", dict(BASE, fares=None)),
+            ("frontier", dict(BASE, capacity=True, advice=[0, 0, 1])),
+            ("frontier", dict(BASE, capacity=float("inf"))),
+        ],
+        ids=[
+            "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
+            "grid-max-above-bound", "grid-empty", "fare-nan", "fares-null",
+            "capacity-bool", "capacity-inf",
+        ],
+    )
+    def test_rejected_input(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestFrontier:
     def test_outputs(self, tmp_path):

@@ -23,9 +23,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             core.make_fare_ladder([-1.0, 1.0], 3)
 
+    def test_fares_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                core.make_fare_ladder([1.0, bad], 3)
+
     def test_capacity_positive_integer(self):
-        with pytest.raises(ValueError):
-            core.make_fare_ladder([1.0, 2.0], 0)
+        for bad in (0, 2.5, True, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                core.make_fare_ladder([1.0, 2.0], bad)
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError):

@@ -9,14 +9,13 @@ from rmadvice.policies import (
     bq_levels,
     block_revenue,
     derive_switch_plan,
-    rounding_report,
     run_lp_optimal,
     run_protection_policy,
     run_relaxed_optimal,
     trace_to_csv,
 )
 
-from .oracles import replay_protection
+from .oracles import replay_protection, rounding_report
 
 
 class TestProtectionPolicy:

@@ -8,6 +8,8 @@ import pytest
 from rmadvice import core, protect
 from rmadvice.policies import ProtectionLevels, block_revenue, run_protection_policy
 
+from .oracles import expected_search_passes, protection_consistency
+
 
 def tiny():
     lad = core.make_fare_ladder([1.0, 2.0], 2)
@@ -115,7 +117,7 @@ class TestBinarySearch:
             protect.grow_levels_for_beta = original
         # one probe at the lower endpoint, the bisection passes, and the
         # final pass at the returned endpoint.
-        expected = protect.expected_search_passes(lad, 1e-6)
+        expected = expected_search_passes(lad, 1e-6)
         assert calls["n"] == expected + 2
 
     def test_invalid_inputs(self):
@@ -177,7 +179,7 @@ class TestGuarantees:
                 best = max(best, block_revenue(lad.fares, levels, counts_a) / opt_a)
         _, beta = protect.optimal_protection_levels(lad, adv, g)
         assert beta >= best - 0.02  # grid resolution slack
-        cons = protect.protection_consistency(lad, adv, g)
+        cons = protection_consistency(lad, adv, g)
         assert cons >= best - 0.02
 
     def test_protection_consistency_at_least_lower_bound(self):
@@ -185,7 +187,7 @@ class TestGuarantees:
         adv = core.make_advice(lad, [0, 4, 5])
         for g in (0.0, 0.15, 0.3):
             _, beta = protect.optimal_protection_levels(lad, adv, g)
-            assert protect.protection_consistency(lad, adv, g) >= beta - 1e-9
+            assert protection_consistency(lad, adv, g) >= beta - 1e-9
 
 
 class TestSerialization:
