@@ -11,15 +11,12 @@ from .core import (
     FareLadder,
     Instance,
     advice_distance,
-    advice_instance,
     advice_opt,
-    advice_prefix,
-    block_instance,
     bq_bound,
-    concat,
     conforms,
     conforms_relaxed,
-    hard_instances,
+    count_opt,
+    hard_counts,
     make_advice,
     make_fare_ladder,
     make_instance,

@@ -72,6 +72,17 @@ def _gamma(value, ladder: core.FareLadder) -> float:
     return gamma
 
 
+def _whole(value, name: str) -> int:
+    """A whole-number config value; anything else is a config error."""
+    try:
+        number = int(value)
+        if number != float(value):
+            raise ValueError(f"{value!r} is not a whole number")
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
+    return number
+
+
 def _gamma_grid(cfg: dict, ladder: core.FareLadder) -> np.ndarray:
     spec = cfg.get("gamma_grid")
     if spec is None:
@@ -81,7 +92,7 @@ def _gamma_grid(cfg: dict, ladder: core.FareLadder) -> np.ndarray:
             grid = np.asarray(spec, dtype=float)
         else:
             grid = np.linspace(
-                float(spec["min"]), float(spec["max"]), int(spec["points"])
+                float(spec["min"]), float(spec["max"]), _whole(spec["points"], "points")
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad gamma_grid: {exc}") from exc
@@ -124,7 +135,7 @@ def cmd_frontier(cfg: dict, out: Path, args) -> None:
 
 def cmd_rs_grid(cfg: dict, out: Path, args) -> None:
     ladder = _ladder(cfg)
-    step = int(cfg.get("advice_step", 10))
+    step = _whole(cfg.get("advice_step", 10), "advice_step")
     try:
         advices = frontier.advice_grid(ladder, step)
     except ValueError as exc:
@@ -226,7 +237,7 @@ def cmd_robustness(cfg: dict, out: Path, args) -> None:
         raise ConfigError(str(exc)) from exc
     noise_cfg = cfg.get("noise", {})
     v_list = noise_cfg.get("v_list", [noise_cfg.get("v", 0.5)])
-    trials = int(noise_cfg.get("trials", 100))
+    trials = _whole(noise_cfg.get("trials", 100), "trials")
     gammas = _gamma_grid(cfg, ladder)
     policies_list = cfg.get("policies", list(experiments.POLICIES))
     try:

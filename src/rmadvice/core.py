@@ -5,10 +5,10 @@ plus a seat capacity ``n``.  An *instance* is a finite arrival sequence of
 fare classes (1-based indices into the ladder).  An *advice* is a vector of
 predicted counts per fare class with total mass exactly ``n``.
 
-This module also builds the structured "hard" instances used by the
-consistency/competitiveness LP: advice-shaped instances ``I(A)``, their
-prefixes ``I(A, k)``, all-fares block instances ``I(F, i)``, and their
-concatenations.
+The adversarial family behind the consistency/competitiveness LP is held
+as per-class counts (``hard_counts``): the advice prefixes ``I(A, k)`` and
+the all-fares blocks ``I(F, i)``, each an increasing-order block instance;
+``count_opt`` is the closed-form offline optimum on such counts.
 """
 
 from __future__ import annotations
@@ -132,10 +132,7 @@ def make_instance(ladder: FareLadder, steps) -> Instance:
 
 def fare_counts(instance: Instance, m: int) -> np.ndarray:
     """Number of arrivals per fare class (length-m integer vector)."""
-    counts = np.zeros(m, dtype=np.int64)
-    for s in instance.steps:
-        counts[s - 1] += 1
-    return counts
+    return np.bincount(np.asarray(instance.steps, dtype=np.int64), minlength=m + 1)[1:]
 
 
 def bq_bound(ladder: FareLadder) -> float:
@@ -152,11 +149,33 @@ def bq_bound(ladder: FareLadder) -> float:
 
 def opt_revenue(ladder: FareLadder, instance: Instance) -> float:
     """Offline optimum: revenue of the ``capacity`` highest fares present."""
-    if len(instance) == 0:
-        return 0.0
-    vals = np.array([ladder.fares[s - 1] for s in instance.steps], dtype=float)
-    vals[::-1].sort()  # descending
-    return float(vals[: ladder.capacity].sum())
+    return float(count_opt(ladder, fare_counts(instance, ladder.m)))
+
+
+def count_opt(ladder: FareLadder, counts) -> np.ndarray:
+    """Offline optimum of instances given by per-class counts (last axis).
+
+    Seats go to the highest fares first: class ``i`` takes what its
+    arrivals and the seats left by the classes above it allow.
+    """
+    counts = np.asarray(counts)
+    above = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1] - counts
+    take = np.clip(ladder.capacity - above, 0, counts)
+    return take @ np.asarray(ladder.fares)
+
+
+def hard_counts(ladder: FareLadder, advice: Advice) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class counts of the adversarial family behind the LP.
+
+    Row ``k-1`` of ``prefix`` counts the advice prefix ``I(A, k)``: the
+    advice's acceptance caps on classes up to ``k``, nothing above.  Row
+    ``i-1`` of ``blocks`` counts the all-fares block ``I(F, i)``: capacity
+    on classes up to ``i``.  The family is every prefix, and every prefix
+    followed by every block (``prefix[:, None] + blocks[None]``), all in
+    increasing fare order.
+    """
+    lower = np.tri(ladder.m, dtype=np.int64)  # row k-1 marks classes 1..k
+    return lower * np.asarray(advice.cap_counts), lower * ladder.capacity
 
 
 def advice_opt(ladder: FareLadder, advice: Advice) -> float:
@@ -209,54 +228,3 @@ def advice_distance(advice: Advice, instance: Instance) -> int:
     for i in range(ell, advice.m):
         dist += abs(advice.counts[i] - int(counts[i]))
     return dist
-
-
-def concat(first: Instance, second: Instance) -> Instance:
-    """Arrival sequence of ``first`` followed by ``second``."""
-    return Instance(steps=first.steps + second.steps)
-
-
-def advice_instance(ladder: FareLadder, advice: Advice) -> Instance:
-    """Canonical advice-shaped instance in increasing fare order.
-
-    Capacity-many arrivals of each class up to the lowest predicted one,
-    then the advised count of every class above it.
-    """
-    return advice_prefix(ladder, advice, ladder.m)
-
-
-def advice_prefix(ladder: FareLadder, advice: Advice, k: int) -> Instance:
-    """The advice-shaped instance truncated after the class-``k`` block."""
-    if k < 1 or k > ladder.m:
-        raise ValueError("block index out of range")
-    ell = advice.lowest_index
-    steps: list[int] = []
-    for i in range(1, k + 1):
-        reps = ladder.capacity if i <= ell else advice.counts[i - 1]
-        steps.extend([i] * reps)
-    return Instance(steps=tuple(steps))
-
-
-def block_instance(ladder: FareLadder, i: int) -> Instance:
-    """Capacity-many arrivals of every class from 1 to ``i``, in order."""
-    if i < 1 or i > ladder.m:
-        raise ValueError("block index out of range")
-    steps: list[int] = []
-    for j in range(1, i + 1):
-        steps.extend([j] * ladder.capacity)
-    return Instance(steps=tuple(steps))
-
-
-def hard_instances(ladder: FareLadder, advice: Advice) -> list[Instance]:
-    """The adversarial family driving the consistency/competitiveness LP.
-
-    All advice prefixes plus every prefix continued by a block instance;
-    ``m**2 + m`` instances in total.
-    """
-    m = ladder.m
-    family = [advice_prefix(ladder, advice, k) for k in range(1, m + 1)]
-    for k in range(1, m + 1):
-        prefix = advice_prefix(ladder, advice, k)
-        for i in range(1, m + 1):
-            family.append(concat(prefix, block_instance(ladder, i)))
-    return family

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import core, lp, protect
 from .policies import (
+    block_revenue,
     bq_levels,
     derive_switch_plan,
     run_lp_optimal,
@@ -56,7 +57,7 @@ class SweepRow:
     trials: int
 
 
-class RobustnessBoundError(AssertionError):
+class RobustnessBoundError(RuntimeError):
     """A sampled instance violated the advice-distance robustness bound."""
 
 
@@ -74,10 +75,8 @@ def sample_instance(
         a = advice.counts[i]
         draw = rng.normal(float(a), noise.v * float(a))
         counts.append(max(int(math.floor(draw)), 0))
-    steps: list[int] = []
-    for i, cnt in enumerate(counts, start=1):
-        steps.extend([i] * cnt)
-    return core.Instance(steps=tuple(steps))
+    steps = np.repeat(np.arange(1, ladder.m + 1), counts)
+    return core.Instance(steps=tuple(steps.tolist()))
 
 
 def check_robustness_bound(
@@ -86,21 +85,20 @@ def check_robustness_bound(
     levels,
     instance: core.Instance,
     tol: float = 1e-9,
-) -> None:
+) -> float:
     """Assert the consistency-vs-distance bound for protection levels.
 
     The drop from the policy's consistency (revenue share on the advice
     instance) to its realized ratio on ``instance`` may not exceed
     ``2 f_m / f_1`` times the count distance between instance and advice.
+    Returns the realized ratio (1.0 when the instance's optimum is zero).
     """
-    vec = np.asarray(levels.levels)
-    counts_a = protect._prefix_counts(ladder, advice, ladder.m)
-    from .policies import block_revenue
-
-    cons = block_revenue(ladder.fares, vec, counts_a) / core.advice_opt(ladder, advice)
     opt_inst = core.opt_revenue(ladder, instance)
     if opt_inst <= 0.0:
-        return
+        return 1.0
+    cons = block_revenue(
+        ladder.fares, np.asarray(levels.levels), advice.cap_counts
+    ) / core.advice_opt(ladder, advice)
     realized = run_protection_policy(ladder, levels, instance).revenue / opt_inst
     bound = 2.0 * ladder.fares[-1] / ladder.fares[0] * core.advice_distance(
         advice, instance
@@ -109,6 +107,7 @@ def check_robustness_bound(
         raise RobustnessBoundError(
             f"consistency drop {cons - realized} exceeds bound {bound}"
         )
+    return realized
 
 
 def average_cr(
@@ -163,11 +162,11 @@ def _make_runner(ladder, advice, policy, gamma, epsilon, relaxed_epsilon, check_
             levels = bq_levels(ladder)
 
         def run(instance):
+            if check_bound:
+                return check_robustness_bound(ladder, advice, levels, instance)
             opt = core.opt_revenue(ladder, instance)
             if opt <= 0.0:
                 return 1.0
-            if check_bound:
-                check_robustness_bound(ladder, advice, levels, instance)
             return run_protection_policy(ladder, levels, instance).revenue / opt
 
     else:

@@ -37,8 +37,9 @@ def _bq_consistency(ladder: core.FareLadder, advice: core.Advice) -> float:
     from .policies import bq_levels, block_revenue  # local to avoid cycle
 
     levels = np.asarray(bq_levels(ladder).levels)
-    counts = protect._prefix_counts(ladder, advice, ladder.m)
-    return block_revenue(ladder.fares, levels, counts) / core.advice_opt(ladder, advice)
+    return block_revenue(ladder.fares, levels, advice.cap_counts) / core.advice_opt(
+        ladder, advice
+    )
 
 
 def consistency_frontier(

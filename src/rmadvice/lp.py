@@ -78,16 +78,9 @@ def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) 
     caps = advice.cap_counts
     opt_advice = core.advice_opt(scaled, advice)
 
-    opt_prefix = [
-        core.opt_revenue(scaled, core.advice_prefix(scaled, advice, k))
-        for k in range(1, m + 1)
-    ]
-    opt_continued = np.empty((m, m))
-    for k in range(1, m + 1):
-        prefix = core.advice_prefix(scaled, advice, k)
-        for i in range(1, m + 1):
-            inst = core.concat(prefix, core.block_instance(scaled, i))
-            opt_continued[k - 1, i - 1] = core.opt_revenue(scaled, inst)
+    prefix, blocks = core.hard_counts(scaled, advice)
+    opt_prefix = core.count_opt(scaled, prefix)
+    opt_continued = core.count_opt(scaled, prefix[:, None] + blocks[None])
 
     nvars = 1 + m + m * m
     rows: list[np.ndarray] = []

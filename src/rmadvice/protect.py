@@ -30,22 +30,6 @@ class LevelsCandidate:
     feasible: bool  # top level fits within capacity
 
 
-def _block_counts_all(ladder: core.FareLadder, k: int) -> np.ndarray:
-    """Counts of the all-fares block instance truncated at class k."""
-    counts = np.zeros(ladder.m)
-    counts[:k] = ladder.capacity
-    return counts
-
-
-def _prefix_counts(ladder: core.FareLadder, advice: core.Advice, k: int) -> np.ndarray:
-    """Counts of the advice-shaped instance truncated at class k."""
-    ell = advice.lowest_index
-    counts = np.zeros(ladder.m)
-    for i in range(1, k + 1):
-        counts[i - 1] = ladder.capacity if i <= ell else advice.counts[i - 1]
-    return counts
-
-
 def grow_levels_for_beta(
     ladder: core.FareLadder, advice: core.Advice, gamma: float, beta: float
 ) -> LevelsCandidate:
@@ -62,6 +46,7 @@ def grow_levels_for_beta(
     fares = ladder.fares
     caps = advice.cap_counts
     opt_advice = core.advice_opt(ladder, advice)
+    prefix, blocks = core.hard_counts(ladder, advice)
     levels = np.zeros(m)
     comp_inc = np.zeros(m)
     cons_inc = np.zeros(m)
@@ -70,11 +55,11 @@ def grow_levels_for_beta(
         levels[k - 1 :] = levels[k - 2] if k > 1 else 0.0
 
         target = gamma * n * fk  # offline optimum of the block instance
-        have = block_revenue(fares, levels, _block_counts_all(ladder, k - 1)) if k > 1 else 0.0
+        have = block_revenue(fares, levels, blocks[k - 2]) if k > 1 else 0.0
         comp_inc[k - 1] = max(0.0, (target - have) / fk)
         levels[k - 1 :] += comp_inc[k - 1]
 
-        have_advice = block_revenue(fares, levels, _prefix_counts(ladder, advice, k))
+        have_advice = block_revenue(fares, levels, prefix[k - 1])
         tail = sum(caps[i] * fares[i] for i in range(k, m))
         if have_advice + tail < beta * opt_advice:
             cons_inc[k - 1] = (beta * opt_advice - have_advice - tail) / fk

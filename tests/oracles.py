@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to cross-check the solvers.
 
 Everything here is deliberately naive: vertex enumeration for LPs, an
-element-by-element simplex pivot, and a direct per-arrival replay for
-policies.  Slow but obviously correct on the small cases the tests feed it.
-The module also holds summaries of solver results that only tests need.
+element-by-element simplex pivot, a direct per-arrival replay for policies,
+the adversarial instance family built arrival by arrival, and a
+sort-and-sum offline optimum.  Slow but obviously correct on the small
+cases the tests feed it.  The module also holds summaries of solver
+results that only tests need.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from rmadvice import core, protect
+from rmadvice.core import Instance
 from rmadvice.policies import block_revenue
 
 
@@ -61,6 +64,66 @@ def vertex_enumeration_lp(c, A, senses, b, upper=None, tol=1e-9):
             if best_val is None or val > best_val:
                 best_val, best_x = val, x
     return best_val, best_x
+
+
+def reference_opt(ladder: core.FareLadder, instance: Instance) -> float:
+    """Offline optimum: revenue of the ``capacity`` highest fares present."""
+    if len(instance) == 0:
+        return 0.0
+    vals = np.array([ladder.fares[s - 1] for s in instance.steps], dtype=float)
+    vals[::-1].sort()  # descending
+    return float(vals[: ladder.capacity].sum())
+
+
+def concat(first: Instance, second: Instance) -> Instance:
+    """Arrival sequence of ``first`` followed by ``second``."""
+    return Instance(steps=first.steps + second.steps)
+
+
+def advice_instance(ladder: core.FareLadder, advice: core.Advice) -> Instance:
+    """Canonical advice-shaped instance in increasing fare order.
+
+    Capacity-many arrivals of each class up to the lowest predicted one,
+    then the advised count of every class above it.
+    """
+    return advice_prefix(ladder, advice, ladder.m)
+
+
+def advice_prefix(ladder: core.FareLadder, advice: core.Advice, k: int) -> Instance:
+    """The advice-shaped instance truncated after the class-``k`` block."""
+    if k < 1 or k > ladder.m:
+        raise ValueError("block index out of range")
+    ell = advice.lowest_index
+    steps: list[int] = []
+    for i in range(1, k + 1):
+        reps = ladder.capacity if i <= ell else advice.counts[i - 1]
+        steps.extend([i] * reps)
+    return Instance(steps=tuple(steps))
+
+
+def block_instance(ladder: core.FareLadder, i: int) -> Instance:
+    """Capacity-many arrivals of every class from 1 to ``i``, in order."""
+    if i < 1 or i > ladder.m:
+        raise ValueError("block index out of range")
+    steps: list[int] = []
+    for j in range(1, i + 1):
+        steps.extend([j] * ladder.capacity)
+    return Instance(steps=tuple(steps))
+
+
+def hard_instances(ladder: core.FareLadder, advice: core.Advice) -> list[Instance]:
+    """The adversarial family driving the consistency/competitiveness LP.
+
+    All advice prefixes plus every prefix continued by a block instance;
+    ``m**2 + m`` instances in total.
+    """
+    m = ladder.m
+    family = [advice_prefix(ladder, advice, k) for k in range(1, m + 1)]
+    for k in range(1, m + 1):
+        prefix = advice_prefix(ladder, advice, k)
+        for i in range(1, m + 1):
+            family.append(concat(prefix, block_instance(ladder, i)))
+    return family
 
 
 def replay_protection(fares, levels, steps):
@@ -121,8 +184,7 @@ def reference_simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
 def protection_consistency(ladder, advice, gamma, epsilon=1e-6):
     """Realized consistency of the optimized levels on the advice instance."""
     levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, epsilon)
-    counts = protect._prefix_counts(ladder, advice, ladder.m)
-    revenue = block_revenue(ladder.fares, np.asarray(levels.levels), counts)
+    revenue = block_revenue(ladder.fares, np.asarray(levels.levels), advice.cap_counts)
     return revenue / core.advice_opt(ladder, advice)
 
 

@@ -18,7 +18,7 @@ from rmadvice.policies import (
 )
 from rmadvice.simplex import solve_simplex
 
-from .oracles import vertex_enumeration_lp
+from .oracles import advice_instance, hard_instances, vertex_enumeration_lp
 from .test_simplex import random_feasible_lp
 
 
@@ -128,7 +128,7 @@ def test_criterion_06_worst_case_guarantees():
         core.Instance(steps=tuple(rng.integers(1, 4, size=rng.integers(1, 60))))
         for _ in range(1000)
     ]
-    instances += core.hard_instances(lad, adv)
+    instances += hard_instances(lad, adv)
     for inst in instances:
         opt = core.opt_revenue(lad, inst)
         cr_switch = run_lp_optimal(lad, adv, gamma, inst, plan).revenue / opt
@@ -137,13 +137,13 @@ def test_criterion_06_worst_case_guarantees():
         assert cr_levels >= gamma - eps - 1e-9
 
     opt_a = core.advice_opt(lad, adv)
-    steps = list(core.advice_instance(lad, adv).steps)
+    steps = list(advice_instance(lad, adv).steps)
     for _ in range(200):
         rng.shuffle(steps)
         trace = run_lp_optimal(lad, adv, gamma, core.Instance(steps=tuple(steps)), plan)
         assert trace.revenue >= sol.beta_star * opt_a - 1e-6 * opt_a
 
-    cons = run_protection_policy(lad, levels, core.advice_instance(lad, adv)).revenue
+    cons = run_protection_policy(lad, levels, advice_instance(lad, adv)).revenue
     assert cons >= beta_lower * opt_a - 1e-9 * opt_a
     _report(6, "worst-case guarantees on 1000 random + hard instances, "
                "consistency on 200 shuffles of the advice instance")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rmadvice import experiments
 from rmadvice.cli import main
 
 
@@ -56,17 +57,30 @@ class TestExitCodes:
             ("frontier", dict(BASE, fares=None)),
             ("frontier", dict(BASE, capacity=True, advice=[0, 0, 1])),
             ("frontier", dict(BASE, capacity=float("inf"))),
+            ("rs-grid", dict(BASE, advice_step="x")),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"trials": "x"})),
+            ("frontier", dict(BASE, gamma_grid={"min": 0.0, "max": 0.5, "points": 1.5})),
         ],
         ids=[
             "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
             "grid-max-above-bound", "grid-empty", "fare-nan", "fares-null",
-            "capacity-bool", "capacity-inf",
+            "capacity-bool", "capacity-inf", "advice-step-text", "trials-text",
+            "grid-points-fractional",
         ],
     )
     def test_rejected_input(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_robustness_bound_error_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise experiments.RobustnessBoundError("consistency drop 1 exceeds bound 0")
+
+        monkeypatch.setattr(experiments, "robustness_sweep", violated)
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
+        assert main(["robustness", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure:" in capsys.readouterr().err
 
 
 class TestFrontier:

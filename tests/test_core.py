@@ -1,9 +1,33 @@
-"""Domain model: ladders, advice, instances, and hard-instance builders."""
+"""Domain model: ladders, advice, instances, hard-family counts, offline optimum."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmadvice import core
+
+from .oracles import hard_instances, reference_opt
+
+# Fixed example sequence, no example database: tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def ladders_and_advice(draw, max_m=5, max_n=8):
+    """A random ladder (any positive increasing fares) with a valid advice."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    first = draw(st.floats(0.01, 100.0))
+    steps = draw(st.lists(st.floats(0.001, 100.0), min_size=m - 1, max_size=m - 1))
+    ladder = core.make_fare_ladder(np.cumsum([first] + steps), n)
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+    counts = np.diff([0] + cuts + [n])
+    return ladder, core.make_advice(ladder, counts)
+
+
+def relative_gap(a, b):
+    return abs(a - b) / max(abs(b), 1e-300) if b != 0.0 else abs(a)
 
 
 def ladder(fares=(1.0, 2.0, 4.0), n=4):
@@ -102,6 +126,37 @@ class TestOptRevenue:
             assert core.opt_revenue(lad, core.make_instance(lad, steps)) == pytest.approx(base)
 
 
+class TestCountForm:
+    @PROPERTY
+    @given(ladders_and_advice())
+    def test_hard_counts_match_family(self, case):
+        ladder, advice = case
+        prefix, blocks = core.hard_counts(ladder, advice)
+        rows = list(prefix) + [prefix[k] + blocks[i] for k in range(ladder.m)
+                               for i in range(ladder.m)]
+        family = hard_instances(ladder, advice)
+        assert len(rows) == len(family)
+        for row, inst in zip(rows, family):
+            assert row.tolist() == core.fare_counts(inst, ladder.m).tolist()
+
+    @PROPERTY
+    @given(ladders_and_advice(), st.data())
+    def test_count_opt_matches_sort_and_sum(self, case, data):
+        ladder, _ = case
+        # any order, from empty up to three times the capacity in arrivals
+        steps = data.draw(st.lists(st.integers(1, ladder.m), max_size=3 * ladder.capacity))
+        inst = core.make_instance(ladder, steps)
+        expected = reference_opt(ladder, inst)
+        assert relative_gap(core.opt_revenue(ladder, inst), expected) <= 1e-12
+        counts = core.fare_counts(inst, ladder.m)
+        assert relative_gap(float(core.count_opt(ladder, counts)), expected) <= 1e-12
+
+    def test_count_opt_batches_last_axis(self):
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
+        counts = np.array([[[0, 0, 0], [5, 0, 0]], [[1, 1, 1], [0, 2, 4]]])
+        assert core.count_opt(lad, counts).tolist() == [[0.0, 3.0], [7.0, 12.0]]
+
+
 class TestAdvice:
     def test_lowest_index(self):
         lad = ladder()
@@ -121,43 +176,61 @@ class TestAdvice:
         assert core.advice_opt(lad, adv) == pytest.approx(2.0 + 12.0)
 
 
+def from_counts(counts):
+    """Block-ordered instance: ``counts[i-1]`` arrivals of class ``i``, in order."""
+    steps = np.repeat(np.arange(1, len(counts) + 1), counts)
+    return core.Instance(steps=tuple(steps.tolist()))
+
+
 class TestConstructions:
     def test_advice_instance_blocks(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
-        inst = core.advice_instance(lad, adv)
-        # n copies of each class up to the lowest predicted (2), then counts.
-        assert inst.steps == (1, 1, 1, 2, 2, 2, 3, 3)
+        prefix, _ = core.hard_counts(lad, adv)
+        # n copies of each class up to the lowest predicted (2), then counts:
+        # the arrivals (1, 1, 1, 2, 2, 2, 3, 3).
+        assert prefix[2].tolist() == [3, 3, 2]
+        assert prefix[2].tolist() == list(adv.cap_counts)
 
     def test_advice_prefix(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
-        assert core.advice_prefix(lad, adv, 1).steps == (1, 1, 1)
-        assert core.advice_prefix(lad, adv, 2).steps == (1, 1, 1, 2, 2, 2)
-        assert core.advice_prefix(lad, adv, 3) == core.advice_instance(lad, adv)
+        prefix, _ = core.hard_counts(lad, adv)
+        assert prefix[0].tolist() == [3, 0, 0]  # (1, 1, 1)
+        assert prefix[1].tolist() == [3, 3, 0]  # (1, 1, 1, 2, 2, 2)
 
     def test_block_instance(self):
         lad = core.make_fare_ladder([1.0, 2.0], 2)
-        assert core.block_instance(lad, 1).steps == (1, 1)
-        assert core.block_instance(lad, 2).steps == (1, 1, 2, 2)
+        adv = core.make_advice(lad, [1, 1])
+        _, blocks = core.hard_counts(lad, adv)
+        assert blocks[0].tolist() == [2, 0]  # (1, 1)
+        assert blocks[1].tolist() == [2, 2]  # (1, 1, 2, 2)
 
     def test_concat(self):
-        a = core.Instance(steps=(1, 2))
-        b = core.Instance(steps=(3,))
-        assert core.concat(a, b).steps == (1, 2, 3)
+        # a prefix followed by a block counts as the sum of their counts.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
+        adv = core.make_advice(lad, [0, 1, 2])
+        prefix, blocks = core.hard_counts(lad, adv)
+        steps = from_counts(prefix[1]).steps + from_counts(blocks[2]).steps
+        assert steps == (1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2, 3, 3, 3)
+        counts = core.fare_counts(core.Instance(steps=steps), lad.m)
+        assert counts.tolist() == (prefix[1] + blocks[2]).tolist()
 
     def test_hard_family_size(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
-        family = core.hard_instances(lad, adv)
-        assert len(family) == lad.m ** 2 + lad.m
+        prefix, blocks = core.hard_counts(lad, adv)
+        continued = prefix[:, None] + blocks[None]
+        assert prefix.shape == blocks.shape == (lad.m, lad.m)
+        assert len(prefix) + continued.shape[0] * continued.shape[1] == lad.m ** 2 + lad.m
 
     def test_hard_family_conformance(self):
         # the full advice prefix realizes the advice; shorter prefixes do not.
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
-        assert core.conforms(adv, core.advice_prefix(lad, adv, 3))
-        assert not core.conforms(adv, core.advice_prefix(lad, adv, 2))
+        prefix, _ = core.hard_counts(lad, adv)
+        assert core.conforms(adv, from_counts(prefix[2]))
+        assert not core.conforms(adv, from_counts(prefix[1]))
 
 
 class TestConformance:
@@ -208,7 +281,7 @@ class TestAdviceDistance:
     def test_zero_on_conforming(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
-        assert core.advice_distance(adv, core.advice_instance(lad, adv)) == 0
+        assert core.advice_distance(adv, from_counts(adv.cap_counts)) == 0
 
     def test_counts_mismatch(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)

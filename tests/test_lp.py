@@ -2,11 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rmadvice import core, lp
 from rmadvice.policies import bq_levels, run_protection_policy
 
-from .oracles import vertex_enumeration_lp
+from .oracles import (
+    advice_instance,
+    advice_prefix,
+    block_instance,
+    concat,
+    hard_instances,
+    reference_opt,
+    vertex_enumeration_lp,
+)
+from .test_core import PROPERTY, ladders_and_advice, relative_gap
 
 
 def tiny():
@@ -72,6 +83,23 @@ class TestModelShape:
         # one line per row plus one per finite bound.
         finite = int(np.isfinite(model.upper).sum())
         assert len(lines) == 1 + model.rows.shape[0] + finite
+
+
+class TestRhs:
+    @PROPERTY
+    @given(ladders_and_advice(), st.floats(0.0, 1.0))
+    def test_rhs_is_gamma_times_family_opt(self, case, share):
+        ladder, advice = case
+        gamma = share * core.bq_bound(ladder)
+        model = lp.build_pareto_lp(ladder, advice, gamma)
+        m = ladder.m
+        scaled = core.FareLadder(fares=model.scaled_fares, capacity=ladder.capacity)
+        family = hard_instances(scaled, advice)
+        # rows: m capacity, m prefix, the consistency link, m*m continuations
+        rhs = np.concatenate([model.rhs[m : 2 * m], model.rhs[2 * m + 1 :]])
+        assert len(rhs) == len(family)
+        for b, inst in zip(rhs, family):
+            assert relative_gap(b, gamma * reference_opt(scaled, inst)) <= 1e-12
 
 
 class TestKnownOptima:
@@ -173,16 +201,16 @@ class TestCrossChecks:
         def per_class(trace):
             return np.concatenate([[trace.q[0]], np.diff(trace.q)])
 
-        full = run_protection_policy(lad, levels, core.advice_instance(lad, adv))
+        full = run_protection_policy(lad, levels, advice_instance(lad, adv))
         x = per_class(full)
         point = np.zeros(1 + m + m * m)
         point[0] = full.revenue / core.advice_opt(lad, adv)
         point[1 : 1 + m] = x
         for k in range(1, m + 1):
-            prefix = core.advice_prefix(lad, adv, k)
+            prefix = advice_prefix(lad, adv, k)
             pre = run_protection_policy(lad, levels, prefix)
             combined = run_protection_policy(
-                lad, levels, core.concat(prefix, core.block_instance(lad, m))
+                lad, levels, concat(prefix, block_instance(lad, m))
             )
             y_k = per_class(combined) - per_class(pre)
             point[1 + m + (k - 1) * m : 1 + m + k * m] = y_k

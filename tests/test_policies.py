@@ -15,7 +15,7 @@ from rmadvice.policies import (
     trace_to_csv,
 )
 
-from .oracles import replay_protection, rounding_report
+from .oracles import advice_instance, hard_instances, replay_protection, rounding_report
 
 
 class TestProtectionPolicy:
@@ -134,7 +134,7 @@ class TestSwitchingPolicy:
         for g in (0.0, 0.25, 0.5):
             sol = lp.optimal_consistency(lad, adv, g)
             plan = derive_switch_plan(sol)
-            inst = core.advice_instance(lad, adv)
+            inst = advice_instance(lad, adv)
             trace = run_lp_optimal(lad, adv, g, inst, plan)
             opt_a = core.advice_opt(lad, adv)
             assert trace.revenue >= sol.beta_star * opt_a - 1e-6 * opt_a
@@ -148,7 +148,7 @@ class TestSwitchingPolicy:
         plan = derive_switch_plan(sol)
         opt_a = core.advice_opt(lad, adv)
         rng = np.random.default_rng(3)
-        steps = list(core.advice_instance(lad, adv).steps)
+        steps = list(advice_instance(lad, adv).steps)
         for _ in range(100):
             rng.shuffle(steps)
             inst = core.Instance(steps=tuple(steps))
@@ -161,7 +161,7 @@ class TestSwitchingPolicy:
         adv = core.make_advice(lad, [0, 2, 4])
         for g in (0.1, 0.3, 0.5):
             plan = derive_switch_plan(lp.optimal_consistency(lad, adv, g))
-            for inst in core.hard_instances(lad, adv):
+            for inst in hard_instances(lad, adv):
                 trace = run_lp_optimal(lad, adv, g, inst, plan)
                 opt = core.opt_revenue(lad, inst)
                 assert trace.revenue >= g * opt - 1e-9 * max(1.0, opt)
@@ -252,7 +252,7 @@ class TestRelaxedPolicy:
         g = 0.3
         plan = derive_switch_plan(lp.optimal_consistency(lad, adv, g))
         rng = np.random.default_rng(53)
-        steps = list(core.advice_instance(lad, adv).steps)
+        steps = list(advice_instance(lad, adv).steps)
         for eps in (0.01, 0.2, 1.0):
             for _ in range(50):
                 rng.shuffle(steps)

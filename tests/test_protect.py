@@ -8,7 +8,12 @@ import pytest
 from rmadvice import core, protect
 from rmadvice.policies import ProtectionLevels, block_revenue, run_protection_policy
 
-from .oracles import expected_search_passes, protection_consistency
+from .oracles import (
+    advice_instance,
+    expected_search_passes,
+    hard_instances,
+    protection_consistency,
+)
 
 
 def tiny():
@@ -135,7 +140,7 @@ class TestGuarantees:
         rng = np.random.default_rng(71)
         for g in (0.1, 0.3, 0.5):
             levels, beta = protect.optimal_protection_levels(lad, adv, g)
-            for inst in core.hard_instances(lad, adv):
+            for inst in hard_instances(lad, adv):
                 trace = run_protection_policy(lad, levels, inst)
                 opt = core.opt_revenue(lad, inst)
                 assert trace.revenue >= g * opt - 1e-6 * max(1.0, opt)
@@ -151,7 +156,7 @@ class TestGuarantees:
         adv = core.make_advice(lad, [1, 3, 4])
         for g in (0.0, 0.2, 0.4, 0.5):
             levels, beta = protect.optimal_protection_levels(lad, adv, g)
-            trace = run_protection_policy(lad, levels, core.advice_instance(lad, adv))
+            trace = run_protection_policy(lad, levels, advice_instance(lad, adv))
             opt_a = core.advice_opt(lad, adv)
             assert trace.revenue >= beta * opt_a - 1e-9 * opt_a
 
