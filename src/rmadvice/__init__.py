@@ -15,6 +15,7 @@ from .core import (
     bq_bound,
     conforms,
     conforms_relaxed,
+    count_distance,
     count_opt,
     hard_counts,
     make_advice,
@@ -22,7 +23,7 @@ from .core import (
     make_instance,
     opt_revenue,
 )
-from .experiments import NoiseConfig, average_cr, robustness_sweep, sample_instance
+from .experiments import NoiseConfig, average_cr, robustness_sweep, sample_counts
 from .frontier import (
     FrontierCurve,
     advice_grid,
@@ -40,6 +41,7 @@ from .policies import (
     run_lp_optimal,
     run_protection_policy,
     run_relaxed_optimal,
+    switch_block_revenue,
 )
 from .protect import (
     LevelsCandidate,

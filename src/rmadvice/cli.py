@@ -236,7 +236,12 @@ def cmd_robustness(cfg: dict, out: Path, args) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     noise_cfg = cfg.get("noise", {})
-    v_list = noise_cfg.get("v_list", [noise_cfg.get("v", 0.5)])
+    if not isinstance(noise_cfg, dict):
+        raise ConfigError("noise must be an object")
+    try:
+        v_list = [float(v) for v in noise_cfg.get("v_list", [noise_cfg.get("v", 0.5)])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad noise level: {exc}") from exc
     trials = _whole(noise_cfg.get("trials", 100), "trials")
     gammas = _gamma_grid(cfg, ladder)
     policies_list = cfg.get("policies", list(experiments.POLICIES))

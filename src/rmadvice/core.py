@@ -222,9 +222,13 @@ def advice_distance(advice: Advice, instance: Instance) -> int:
     Shortfall at the lowest predicted class plus absolute count mismatch
     above it; zero exactly on conforming instances.
     """
-    counts = fare_counts(instance, advice.m)
+    return int(count_distance(advice, fare_counts(instance, advice.m)))
+
+
+def count_distance(advice: Advice, counts) -> np.ndarray:
+    """``advice_distance`` of instances given by per-class counts (last axis)."""
+    counts = np.asarray(counts)
+    predicted = np.asarray(advice.counts)
     ell = advice.lowest_index
-    dist = max(0, advice.counts[ell - 1] - int(counts[ell - 1]))
-    for i in range(ell, advice.m):
-        dist += abs(advice.counts[i] - int(counts[i]))
-    return dist
+    short = np.maximum(0, predicted[ell - 1] - counts[..., ell - 1])
+    return short + np.abs(predicted[ell:] - counts[..., ell:]).sum(axis=-1)

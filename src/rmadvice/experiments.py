@@ -4,7 +4,9 @@ Instances are sampled around an advice vector with Gaussian noise whose
 standard deviation scales with both the advised count and a noise level
 ``v``; realized competitive ratios of the LP-based switching policy, the
 optimized protection levels, and the advice-free worst-case levels are then
-averaged over seeded trials.  Every sampled instance is also checked
+averaged over seeded trials.  Sampled instances arrive in increasing fare
+order, so they are kept as per-class counts and every policy is evaluated
+in closed form on them.  Every sampled instance is also checked
 against the robustness bound tying the consistency loss of a
 protection-level policy to its count distance from the advice.
 """
@@ -23,9 +25,7 @@ from .policies import (
     block_revenue,
     bq_levels,
     derive_switch_plan,
-    run_lp_optimal,
-    run_protection_policy,
-    run_relaxed_optimal,
+    switch_block_revenue,
 )
 from .rng import CounterRng, derive_key
 
@@ -61,53 +61,54 @@ class RobustnessBoundError(RuntimeError):
     """A sampled instance violated the advice-distance robustness bound."""
 
 
-def sample_instance(
-    ladder: core.FareLadder, advice: core.Advice, noise: NoiseConfig, trial: int
-) -> core.Instance:
-    """Draw one noisy instance around the advice, in increasing fare order.
+def sample_counts(
+    ladder: core.FareLadder, advice: core.Advice, noise: NoiseConfig
+) -> np.ndarray:
+    """Per-class arrival counts of every trial's noisy instance.
 
-    Class 1 always arrives at full capacity; every higher class count is
-    ``max(floor(A_i + v * A_i * z), 0)`` with independent standard normals.
+    Row ``t`` counts trial ``t``'s instance, whose arrivals come in
+    increasing fare order.  Class 1 always arrives at full capacity; every
+    higher class count is ``max(floor(A_i + v * A_i * z), 0)`` with
+    independent standard normals drawn from the trial's own stream.
+    Returns a ``(trials, m)`` integer array.
     """
-    rng = CounterRng(noise.seed, stream=derive_key(trial, 0x5EED))
-    counts = [ladder.capacity]
-    for i in range(1, ladder.m):
-        a = advice.counts[i]
-        draw = rng.normal(float(a), noise.v * float(a))
-        counts.append(max(int(math.floor(draw)), 0))
-    steps = np.repeat(np.arange(1, ladder.m + 1), counts)
-    return core.Instance(steps=tuple(steps.tolist()))
+    rows = []
+    for t in range(noise.trials):
+        rng = CounterRng(noise.seed, stream=derive_key(t, 0x5EED))
+        row = [ladder.capacity]
+        for a in advice.counts[1:]:
+            draw = rng.normal(float(a), noise.v * float(a))
+            row.append(max(math.floor(draw), 0))
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(noise.trials, ladder.m)
 
 
 def check_robustness_bound(
     ladder: core.FareLadder,
     advice: core.Advice,
-    levels,
-    instance: core.Instance,
+    consistency: float,
+    realized,
+    counts,
     tol: float = 1e-9,
-) -> float:
+) -> None:
     """Assert the consistency-vs-distance bound for protection levels.
 
-    The drop from the policy's consistency (revenue share on the advice
-    instance) to its realized ratio on ``instance`` may not exceed
-    ``2 f_m / f_1`` times the count distance between instance and advice.
-    Returns the realized ratio (1.0 when the instance's optimum is zero).
+    The drop from a protection-level policy's ``consistency`` (its revenue
+    share on the advice instance) to its ``realized`` ratio on an instance
+    with per-class ``counts`` may not exceed ``2 f_m / f_1`` times the count
+    distance between instance and advice.  Takes one count row and ratio,
+    or one per trial.
     """
-    opt_inst = core.opt_revenue(ladder, instance)
-    if opt_inst <= 0.0:
-        return 1.0
-    cons = block_revenue(
-        ladder.fares, np.asarray(levels.levels), advice.cap_counts
-    ) / core.advice_opt(ladder, advice)
-    realized = run_protection_policy(ladder, levels, instance).revenue / opt_inst
-    bound = 2.0 * ladder.fares[-1] / ladder.fares[0] * core.advice_distance(
-        advice, instance
+    drop, bound = np.broadcast_arrays(
+        consistency - np.asarray(realized),
+        2.0 * ladder.fares[-1] / ladder.fares[0] * core.count_distance(advice, counts),
     )
-    if cons - realized > bound + tol:
+    violated = np.flatnonzero(drop > bound + tol)
+    if violated.size:
+        i = violated[0]
         raise RobustnessBoundError(
-            f"consistency drop {cons - realized} exceeds bound {bound}"
+            f"consistency drop {drop.flat[i]} exceeds bound {bound.flat[i]}"
         )
-    return realized
 
 
 def average_cr(
@@ -126,52 +127,59 @@ def average_cr(
     ``lp_relaxed`` (the error-tolerant switching policy at
     ``relaxed_epsilon``).
     """
-    runner = _make_runner(
-        ladder, advice, policy, gamma, epsilon, relaxed_epsilon, check_bound
+    ratios = _realized_ratios(
+        ladder, advice, policy, gamma, sample_counts(ladder, advice, noise),
+        epsilon, relaxed_epsilon, check_bound,
     )
-    ratios = np.empty(noise.trials)
-    for t in range(noise.trials):
-        instance = sample_instance(ladder, advice, noise, t)
-        ratios[t] = runner(instance)
-    mean = float(np.mean(ratios))
-    std = float(np.std(ratios, ddof=1)) if noise.trials > 1 else 0.0
-    return mean, std
+    return _mean_std(ratios)
 
 
-def _make_runner(ladder, advice, policy, gamma, epsilon, relaxed_epsilon, check_bound):
-    """Precompute a policy's plan/levels and return instance -> realized CR."""
+def _realized_ratios(
+    ladder: core.FareLadder,
+    advice: core.Advice,
+    policy: str,
+    gamma: float,
+    counts: np.ndarray,
+    epsilon: float = 1e-6,
+    relaxed_epsilon: float = 0.1,
+    check_bound: bool = True,
+) -> np.ndarray:
+    """Realized competitive ratio of a policy on every row of ``counts``.
+
+    Each row is an increasing block instance (as from ``sample_counts``),
+    so every policy runs in closed form on its counts.  A row whose
+    optimum is zero scores 1.  With ``check_bound`` the robustness bound
+    is asserted on every row for the protection-level policies.
+    """
+    rows = counts.tolist()
     if policy in ("lp_optimal", "lp_relaxed"):
+        if policy == "lp_relaxed" and relaxed_epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
+        eps = relaxed_epsilon if policy == "lp_relaxed" else 0.0
         plan = derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma))
-
-        def run(instance):
-            opt = core.opt_revenue(ladder, instance)
-            if opt <= 0.0:
-                return 1.0
-            if policy == "lp_optimal":
-                trace = run_lp_optimal(ladder, advice, gamma, instance, plan)
-            else:
-                trace = run_relaxed_optimal(
-                    ladder, advice, gamma, relaxed_epsilon, instance, plan
-                )
-            return trace.revenue / opt
-
+        revenue = [switch_block_revenue(ladder, advice, plan, r, eps) for r in rows]
     elif policy in ("optimal_pl", "bq"):
         if policy == "optimal_pl":
             levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, epsilon)
         else:
             levels = bq_levels(ladder)
-
-        def run(instance):
-            if check_bound:
-                return check_robustness_bound(ladder, advice, levels, instance)
-            opt = core.opt_revenue(ladder, instance)
-            if opt <= 0.0:
-                return 1.0
-            return run_protection_policy(ladder, levels, instance).revenue / opt
-
+        revenue = [block_revenue(ladder.fares, levels.levels, r) for r in rows]
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    return run
+    opt = core.count_opt(ladder, counts)
+    ratios = np.divide(revenue, opt, out=np.ones(len(rows)), where=opt > 0.0)
+    if check_bound and policy in ("optimal_pl", "bq"):
+        consistency = block_revenue(
+            ladder.fares, levels.levels, advice.cap_counts
+        ) / core.advice_opt(ladder, advice)
+        check_robustness_bound(ladder, advice, consistency, ratios, counts)
+    return ratios
+
+
+def _mean_std(ratios: np.ndarray) -> tuple[float, float]:
+    mean = float(np.mean(ratios))
+    std = float(np.std(ratios, ddof=1)) if ratios.size > 1 else 0.0
+    return mean, std
 
 
 def robustness_sweep(
@@ -187,9 +195,10 @@ def robustness_sweep(
 ) -> list[SweepRow]:
     """Grid of mean realized ratios over (advice, noise level, gamma, policy).
 
-    Instances are shared across gammas and policies within a cell so curves
-    are compared on common draws; the per-cell seed is derived from the top
-    seed and the (advice, noise) indices.
+    Each (advice, noise) cell samples its instances once and shares them
+    across gammas and policies, so curves are compared on common draws; the
+    per-cell seed is derived from the top seed and the (advice, noise)
+    indices.
     """
     rows: list[SweepRow] = []
     for ai, advice in enumerate(advices):
@@ -197,12 +206,13 @@ def robustness_sweep(
             noise = NoiseConfig(
                 v=float(v), trials=trials, seed=derive_key(seed, ai * 1024 + vi)
             )
+            counts = sample_counts(ladder, advice, noise)
             for gamma in gammas:
                 for policy in policies:
-                    mean, std = average_cr(
-                        ladder, advice, policy, float(gamma), noise,
+                    mean, std = _mean_std(_realized_ratios(
+                        ladder, advice, policy, float(gamma), counts,
                         epsilon=epsilon, check_bound=check_bound,
-                    )
+                    ))
                     rows.append(
                         SweepRow(
                             v=float(v), gamma=float(gamma), policy=policy,

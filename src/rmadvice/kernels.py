@@ -53,9 +53,8 @@ def switch_run(
     LP solution).  The first arrival of a class strictly above ``ell0``
     (0-based lowest advised class) whose running count exceeds
     ``trigger_mult`` times its advised count flips the policy, which then
-    books against one row of ``fallback_levels``.  The row is found by
-    starting from the highest class currently filled to its base level and
-    walking to the first row that dominates the current bookings.
+    books against the row of ``fallback_levels`` that ``fallback_search``
+    picks.
 
     When ``cap_phase1`` is nonzero, phase 1 additionally rejects arrivals of
     classes above ``ell0`` whose running count already exceeds the advised
@@ -81,23 +80,7 @@ def switch_run(
         if (not switched) and p > ell0 and a[p] > trigger_mult * advice_counts[p]:
             switched = True
             tau = t + 1
-            s0 = 0
-            for j in range(m):
-                if base_levels[j] - q[j] <= eq_tol:
-                    s0 = j
-            k = s0
-            while True:
-                bad = -1
-                for j in range(m):
-                    if q[j] > fallback_levels[k, j] + eq_tol:
-                        bad = j
-                        break
-                if bad < 0:
-                    break
-                k = bad
-                search_iters += 1
-                if search_iters > m:
-                    break
+            s0, k, search_iters = fallback_search(q, base_levels, fallback_levels, eq_tol)
             s_row = s0 + 1
             k_row = k + 1
         if not switched:
@@ -122,6 +105,37 @@ def switch_run(
                 q[j] += room
         w[t] = room
     return w, q, a, tau, s_row, k_row, search_iters
+
+
+def fallback_search(q, base_levels, fallback_levels, eq_tol):
+    """Pick the fallback row the switching policy books against after its
+    trigger, given the cumulative bookings ``q`` at that moment.
+
+    The search starts from the highest class filled to its base level and
+    moves to the first class whose bookings exceed the current row, until
+    a row dominates ``q`` or the moves exceed ``m``.  Returns the
+    0-based start and chosen rows and the number of moves.
+    """
+    m = base_levels.shape[0]
+    s0 = 0
+    for j in range(m):
+        if base_levels[j] - q[j] <= eq_tol:
+            s0 = j
+    k = s0
+    iters = 0
+    while True:
+        bad = -1
+        for j in range(m):
+            if q[j] > fallback_levels[k, j] + eq_tol:
+                bad = j
+                break
+        if bad < 0:
+            break
+        k = bad
+        iters += 1
+        if iters > m:
+            break
+    return s0, k, iters
 
 
 def simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):

@@ -31,7 +31,11 @@ class LevelsCandidate:
 
 
 def grow_levels_for_beta(
-    ladder: core.FareLadder, advice: core.Advice, gamma: float, beta: float
+    ladder: core.FareLadder,
+    advice: core.Advice,
+    gamma: float,
+    beta: float,
+    terms: tuple | None = None,
 ) -> LevelsCandidate:
     """Forward pass: minimal levels hitting both performance targets.
 
@@ -39,14 +43,16 @@ def grow_levels_for_beta(
     the smallest amount restoring ``gamma``-competitiveness on the block
     instance ending at ``k``, then — only if even selling every remaining
     predicted seat could not reach ``beta`` times the advice revenue — by
-    the smallest amount closing that consistency gap.
+    the smallest amount closing that consistency gap.  ``terms`` carries
+    the per-advice inputs (``_advice_terms``) across the passes of one
+    search; they are computed here when omitted.
     """
     m = ladder.m
     n = ladder.capacity
     fares = ladder.fares
-    caps = advice.cap_counts
-    opt_advice = core.advice_opt(ladder, advice)
-    prefix, blocks = core.hard_counts(ladder, advice)
+    prefix, blocks, opt_advice, tails = (
+        _advice_terms(ladder, advice) if terms is None else terms
+    )
     levels = np.zeros(m)
     comp_inc = np.zeros(m)
     cons_inc = np.zeros(m)
@@ -60,7 +66,7 @@ def grow_levels_for_beta(
         levels[k - 1 :] += comp_inc[k - 1]
 
         have_advice = block_revenue(fares, levels, prefix[k - 1])
-        tail = sum(caps[i] * fares[i] for i in range(k, m))
+        tail = tails[k - 1]
         if have_advice + tail < beta * opt_advice:
             cons_inc[k - 1] = (beta * opt_advice - have_advice - tail) / fk
             levels[k - 1 :] += cons_inc[k - 1]
@@ -72,6 +78,22 @@ def grow_levels_for_beta(
         consistency_increments=tuple(cons_inc),
         feasible=feasible,
     )
+
+
+def _advice_terms(ladder: core.FareLadder, advice: core.Advice) -> tuple:
+    """What the growing pass needs of an advice, whatever gamma and beta.
+
+    The rows of ``core.hard_counts`` (prefixes, then blocks), the advice
+    revenue, and per class ``k`` the revenue of the advised caps above it.
+    """
+    prefix, blocks = core.hard_counts(ladder, advice)
+    caps = advice.cap_counts
+    fares = ladder.fares
+    tails = [
+        sum(caps[i] * fares[i] for i in range(k, ladder.m))
+        for k in range(1, ladder.m + 1)
+    ]
+    return prefix.tolist(), blocks.tolist(), core.advice_opt(ladder, advice), tails
 
 
 def optimal_protection_levels(
@@ -92,17 +114,18 @@ def optimal_protection_levels(
     bound = core.bq_bound(ladder)
     if gamma < 0.0 or gamma > bound + 1e-12:
         raise ValueError("gamma must lie in [0, bq_bound(ladder)]")
+    terms = _advice_terms(ladder, advice)
     lo = bound
-    if not grow_levels_for_beta(ladder, advice, gamma, lo).feasible:
+    if not grow_levels_for_beta(ladder, advice, gamma, lo, terms).feasible:
         raise RuntimeError("growing pass infeasible at the worst-case bound")
     hi = 1.0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
-        if grow_levels_for_beta(ladder, advice, gamma, mid).feasible:
+        if grow_levels_for_beta(ladder, advice, gamma, mid, terms).feasible:
             lo = mid
         else:
             hi = mid
-    candidate = grow_levels_for_beta(ladder, advice, gamma, lo)
+    candidate = grow_levels_for_beta(ladder, advice, gamma, lo, terms)
     n = float(ladder.capacity)
     levels = tuple(min(v, n) for v in candidate.levels)
     return ProtectionLevels(levels=levels), lo

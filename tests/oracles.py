@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: vertex enumeration for LPs, an
 element-by-element simplex pivot, a direct per-arrival replay for policies,
-the adversarial instance family built arrival by arrival, and a
-sort-and-sum offline optimum.  Slow but obviously correct on the small
-cases the tests feed it.  The module also holds summaries of solver
-results that only tests need.
+the adversarial instance family built arrival by arrival, noisy
+instances sampled one trial at a time, and a sort-and-sum offline optimum.
+Slow but obviously correct on the small cases the tests feed it.  The
+module also holds summaries of solver results that only tests need.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from rmadvice import core, protect
 from rmadvice.core import Instance
 from rmadvice.policies import block_revenue
+from rmadvice.rng import CounterRng, derive_key
 
 
 def vertex_enumeration_lp(c, A, senses, b, upper=None, tol=1e-9):
@@ -124,6 +125,22 @@ def hard_instances(ladder: core.FareLadder, advice: core.Advice) -> list[Instanc
         for i in range(1, m + 1):
             family.append(concat(prefix, block_instance(ladder, i)))
     return family
+
+
+def sample_instance(ladder: core.FareLadder, advice: core.Advice, noise, trial: int) -> Instance:
+    """Draw one noisy instance around the advice, in increasing fare order.
+
+    Class 1 always arrives at full capacity; every higher class count is
+    ``max(floor(A_i + v * A_i * z), 0)`` with independent standard normals.
+    """
+    rng = CounterRng(noise.seed, stream=derive_key(trial, 0x5EED))
+    counts = [ladder.capacity]
+    for i in range(1, ladder.m):
+        a = advice.counts[i]
+        draw = rng.normal(float(a), noise.v * float(a))
+        counts.append(max(int(math.floor(draw)), 0))
+    steps = np.repeat(np.arange(1, ladder.m + 1), counts)
+    return Instance(steps=tuple(steps.tolist()))
 
 
 def replay_protection(fares, levels, steps):

@@ -60,12 +60,15 @@ class TestExitCodes:
             ("rs-grid", dict(BASE, advice_step="x")),
             ("robustness", dict(BASE, gamma_grid=[0.2], noise={"trials": "x"})),
             ("frontier", dict(BASE, gamma_grid={"min": 0.0, "max": 0.5, "points": 1.5})),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise="x")),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": [None]})),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": [0.1, "x"]})),
         ],
         ids=[
             "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
             "grid-max-above-bound", "grid-empty", "fare-nan", "fares-null",
             "capacity-bool", "capacity-inf", "advice-step-text", "trials-text",
-            "grid-points-fractional",
+            "grid-points-fractional", "noise-text", "v-list-null", "v-list-text",
         ],
     )
     def test_rejected_input(self, tmp_path, capsys, command, payload):

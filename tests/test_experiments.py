@@ -2,23 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmadvice import core, experiments
+from rmadvice import core, experiments, lp, protect
 from rmadvice.experiments import (
     NoiseConfig,
+    RobustnessBoundError,
     average_cr,
     check_robustness_bound,
     robustness_sweep,
-    sample_instance,
+    sample_counts,
     sweep_to_csv,
 )
-from rmadvice.policies import bq_levels
+from rmadvice.policies import (
+    block_revenue,
+    bq_levels,
+    derive_switch_plan,
+    run_lp_optimal,
+    run_protection_policy,
+    run_relaxed_optimal,
+)
+from rmadvice.rng import derive_key
+
+from .oracles import sample_instance
+
+# Fixed example sequence, no example database: tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 def setup_case():
     lad = core.make_fare_ladder([1.0, 2.0, 4.0], 20)
     adv = core.make_advice(lad, [2, 8, 10])
     return lad, adv
+
+
+def consistency(lad, adv, levels):
+    return block_revenue(lad.fares, levels.levels, adv.cap_counts) / core.advice_opt(lad, adv)
 
 
 class TestNoiseConfig:
@@ -35,40 +55,75 @@ class TestSampling:
     def test_deterministic(self):
         lad, adv = setup_case()
         noise = NoiseConfig(v=0.5, trials=10, seed=42)
-        a = sample_instance(lad, adv, noise, 3)
-        b = sample_instance(lad, adv, noise, 3)
-        assert a == b
-        c = sample_instance(lad, adv, noise, 4)
-        assert a != c
+        a = sample_counts(lad, adv, noise)
+        b = sample_counts(lad, adv, noise)
+        assert a.shape == (10, lad.m) and a.dtype == np.int64
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a[3], a[4])
 
     def test_zero_noise_recovers_advice_counts(self):
         lad, adv = setup_case()
-        noise = NoiseConfig(v=0.0, trials=1, seed=1)
-        inst = sample_instance(lad, adv, noise, 0)
-        counts = core.fare_counts(inst, lad.m)
-        assert counts[0] == lad.capacity  # class 1 always arrives in full
-        assert list(counts[1:]) == list(adv.counts[1:])
+        noise = NoiseConfig(v=0.0, trials=3, seed=1)
+        for row in sample_counts(lad, adv, noise):
+            assert row[0] == lad.capacity  # class 1 always arrives in full
+            assert list(row[1:]) == list(adv.counts[1:])
 
     def test_zero_advised_count_stays_zero(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 10)
         adv = core.make_advice(lad, [2, 0, 8])
-        noise = NoiseConfig(v=0.9, trials=1, seed=5)
-        for t in range(20):
-            counts = core.fare_counts(sample_instance(lad, adv, noise, t), lad.m)
-            assert counts[1] == 0
+        noise = NoiseConfig(v=0.9, trials=20, seed=5)
+        assert np.all(sample_counts(lad, adv, noise)[:, 1] == 0)
 
     def test_increasing_order(self):
+        # a count row stands for the trial's instance in increasing fare order.
         lad, adv = setup_case()
-        noise = NoiseConfig(v=0.5, trials=1, seed=9)
+        noise = NoiseConfig(v=0.5, trials=8, seed=9)
         inst = sample_instance(lad, adv, noise, 7)
         assert list(inst.steps) == sorted(inst.steps)
+        assert sample_counts(lad, adv, noise)[7].tolist() == core.fare_counts(inst, lad.m).tolist()
 
     def test_counts_never_negative(self):
         lad, adv = setup_case()
-        noise = NoiseConfig(v=0.9, trials=1, seed=11)
-        for t in range(50):
-            counts = core.fare_counts(sample_instance(lad, adv, noise, t), lad.m)
-            assert np.all(counts >= 0)
+        noise = NoiseConfig(v=0.9, trials=50, seed=11)
+        assert np.all(sample_counts(lad, adv, noise) >= 0)
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=5),
+        st.sampled_from([0.0, 0.3, 0.9, 0.999]),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 12),
+    )
+    def test_rows_equal_per_trial_draws(self, extra, v, seed, trials):
+        # same streams and scalar Box-Muller draws as one instance per trial
+        lad = core.make_fare_ladder([2.0 ** i for i in range(len(extra) + 1)], 1 + sum(extra))
+        adv = core.make_advice(lad, [1] + extra)
+        noise = NoiseConfig(v=v, trials=trials, seed=seed)
+        rows = sample_counts(lad, adv, noise)
+        for t in range(trials):
+            expected = core.fare_counts(sample_instance(lad, adv, noise, t), lad.m)
+            assert rows[t].tobytes() == expected.astype(np.int64).tobytes()
+
+
+def replayed_ratios(lad, adv, policy, gamma, noise, relaxed_epsilon=0.1):
+    """Per-trial realized ratios from the step-by-step runners."""
+    if policy in ("lp_optimal", "lp_relaxed"):
+        plan = derive_switch_plan(lp.optimal_consistency(lad, adv, gamma))
+    elif policy == "optimal_pl":
+        levels, _ = protect.optimal_protection_levels(lad, adv, gamma)
+    else:
+        levels = bq_levels(lad)
+    ratios = []
+    for t in range(noise.trials):
+        inst = sample_instance(lad, adv, noise, t)
+        if policy == "lp_optimal":
+            trace = run_lp_optimal(lad, adv, gamma, inst, plan)
+        elif policy == "lp_relaxed":
+            trace = run_relaxed_optimal(lad, adv, gamma, relaxed_epsilon, inst, plan)
+        else:
+            trace = run_protection_policy(lad, levels, inst)
+        ratios.append(trace.revenue / core.opt_revenue(lad, inst))
+    return np.array(ratios)
 
 
 class TestAverageCr:
@@ -98,6 +153,17 @@ class TestAverageCr:
         with pytest.raises(ValueError):
             average_cr(lad, adv, "nope", 0.3, NoiseConfig(v=0.1, trials=1, seed=0))
 
+    @pytest.mark.parametrize("policy", ["lp_optimal", "lp_relaxed", "optimal_pl", "bq"])
+    def test_matches_step_runner_replay(self, policy):
+        lad = core.make_fare_ladder([1.0, 1.5, 3.0, 7.0], 25)
+        for counts, gamma in (([4, 6, 7, 8], 0.2), ([0, 5, 12, 8], 0.35)):
+            adv = core.make_advice(lad, counts)
+            noise = NoiseConfig(v=0.6, trials=40, seed=17)
+            ratios = replayed_ratios(lad, adv, policy, gamma, noise)
+            mean, std = average_cr(lad, adv, policy, gamma, noise)
+            assert mean == pytest.approx(np.mean(ratios), rel=1e-12)
+            assert std == pytest.approx(np.std(ratios, ddof=1), rel=1e-12, abs=1e-15)
+
     def test_relaxed_policy_supported(self):
         lad, adv = setup_case()
         noise = NoiseConfig(v=0.4, trials=30, seed=8)
@@ -109,18 +175,31 @@ class TestRobustnessBound:
     def test_holds_on_sampled_instances(self):
         lad, adv = setup_case()
         levels = bq_levels(lad)
-        noise = NoiseConfig(v=0.8, trials=1, seed=13)
-        for t in range(200):
-            inst = sample_instance(lad, adv, noise, t)
-            check_robustness_bound(lad, adv, levels, inst)  # must not raise
+        counts = sample_counts(lad, adv, NoiseConfig(v=0.8, trials=200, seed=13))
+        realized = [
+            block_revenue(lad.fares, levels.levels, row) / core.count_opt(lad, row)
+            for row in counts
+        ]
+        check_robustness_bound(lad, adv, consistency(lad, adv, levels), realized, counts)
 
     def test_holds_on_arbitrary_instances(self):
         lad, adv = setup_case()
         levels = bq_levels(lad)
+        cons = consistency(lad, adv, levels)
         rng = np.random.default_rng(31)
         for _ in range(500):
-            steps = tuple(rng.integers(1, 4, size=rng.integers(1, 60)))
-            check_robustness_bound(lad, adv, levels, core.Instance(steps=steps))
+            inst = core.Instance(steps=tuple(rng.integers(1, 4, size=rng.integers(1, 60))))
+            realized = run_protection_policy(lad, levels, inst).revenue / core.opt_revenue(lad, inst)
+            check_robustness_bound(lad, adv, cons, realized, core.fare_counts(inst, lad.m))
+
+    def test_violation_raises(self):
+        lad, adv = setup_case()
+        on_advice = np.array([adv.cap_counts, [20, 8, 11]])  # distances 0 and 1
+        check_robustness_bound(lad, adv, 1.0, [1.0, 1.0 - 8.0], on_advice)
+        with pytest.raises(RobustnessBoundError):
+            check_robustness_bound(lad, adv, 1.0, [1.0, 1.0 - 8.0 - 1e-6], on_advice)
+        with pytest.raises(RobustnessBoundError):
+            check_robustness_bound(lad, adv, 1.0, 0.5, adv.cap_counts)
 
 
 class TestSweep:
@@ -141,6 +220,14 @@ class TestSweep:
         a = robustness_sweep(lad, [adv], **kwargs)
         b = robustness_sweep(lad, [adv], **kwargs)
         assert sweep_to_csv(a) == sweep_to_csv(b)
+
+    def test_cells_match_average_cr(self):
+        # one sample per (advice, v) cell, reused by every gamma and policy
+        lad, adv = setup_case()
+        rows = robustness_sweep(lad, [adv], gammas=[0.1, 0.3], v_list=[0.4], trials=12, seed=5)
+        noise = NoiseConfig(v=0.4, trials=12, seed=derive_key(5, 0))
+        for r in rows:
+            assert (r.mean_cr, r.std_cr) == average_cr(lad, adv, r.policy, r.gamma, noise)
 
     def test_instances_shared_across_policies(self):
         # zero noise: every policy sees the exact advice realization, so

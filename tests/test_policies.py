@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmadvice import core, lp
 from rmadvice.policies import (
     ProtectionLevels,
+    SwitchPlan,
     bq_levels,
     block_revenue,
     derive_switch_plan,
     run_lp_optimal,
     run_protection_policy,
     run_relaxed_optimal,
+    switch_block_revenue,
     trace_to_csv,
 )
 
@@ -335,6 +339,123 @@ class TestRelaxedPolicy:
             trace = run_relaxed_optimal(lad, adv, g, eps, inst, plan)
             opt = core.opt_revenue(lad, inst)
             assert trace.revenue >= g / (1 + eps) * opt - 1e-6 * max(1.0, opt)
+
+
+# Fixed example sequence, no example database: tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def block_steps(counts):
+    """Increasing block instance: ``counts[i-1]`` arrivals of class ``i``."""
+    return core.Instance(steps=tuple(np.repeat(np.arange(1, len(counts) + 1), counts).tolist()))
+
+
+def plan_from(x, y):
+    """Switch plan of an arbitrary nonnegative (x, y), as from an LP solution."""
+    m = len(x)
+    sol = lp.LPSolution(status="optimal", beta_star=0.0, x=np.asarray(x),
+                        y=np.asarray(y).reshape(m, m), gamma=0.0, m=m)
+    return derive_switch_plan(sol)
+
+
+def step_revenue(lad, adv, plan, epsilon, inst):
+    if epsilon == 0.0:
+        return run_lp_optimal(lad, adv, 0.0, inst, plan)
+    return run_relaxed_optimal(lad, adv, 0.0, epsilon, inst, plan)
+
+
+def assert_close(closed, stepped):
+    assert abs(closed - stepped) <= 1e-12 * max(abs(stepped), 1e-300)
+
+
+@st.composite
+def block_cases(draw):
+    """Ladder, advice (zero leading classes allowed) and block counts."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 12))
+    fares = np.cumsum(draw(st.lists(st.floats(0.05, 10.0), min_size=m, max_size=m)))
+    lad = core.make_fare_ladder(fares, n)
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+    adv = core.make_advice(lad, np.diff([0] + cuts + [n]))
+    counts = draw(st.lists(st.integers(0, 3 * n), min_size=m, max_size=m))
+    return lad, adv, counts
+
+
+class TestBlockClosedForms:
+    """Closed forms on increasing block counts against the step runners."""
+
+    @PROPERTY
+    @given(block_cases(), st.data())
+    def test_switching_matches_step_runner(self, case, data):
+        lad, adv, counts = case
+        m, n = lad.m, lad.capacity
+        if data.draw(st.booleans(), label="lp_plan"):
+            gamma = data.draw(st.floats(0.0, core.bq_bound(lad)), label="gamma")
+            plan = derive_switch_plan(lp.optimal_consistency(lad, adv, gamma))
+        else:
+            x = data.draw(st.lists(st.floats(0.0, n / 2), min_size=m, max_size=m), label="x")
+            y = data.draw(st.lists(st.floats(0.0, n / 2), min_size=m * m, max_size=m * m),
+                          label="y")
+            plan = plan_from(x, y)
+        epsilon = data.draw(st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0]), label="epsilon")
+        stepped = step_revenue(lad, adv, plan, epsilon, block_steps(counts)).revenue
+        assert_close(switch_block_revenue(lad, adv, plan, counts, epsilon), stepped)
+
+    @PROPERTY
+    @given(block_cases(), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_protection_matches_step_runner(self, case, shares):
+        lad, _, counts = case
+        levels = np.cumsum(shares[: lad.m])
+        levels *= lad.capacity / max(levels[-1], 1.0)
+        stepped = run_protection_policy(lad, ProtectionLevels(tuple(levels)), block_steps(counts))
+        assert_close(block_revenue(lad.fares, levels, counts), stepped.revenue)
+
+    # Base limits (2.5, 6.5, 9.5): half a seat in class 1.  Fallback rows
+    # (2.5, 2.75, 3), (2.5, 6.75, 7), (2.5, 6.75, 10).
+    PLAN = ([2.5, 4.0, 3.0], [[0.0, 0.25, 0.25]] * 3)
+
+    @pytest.mark.parametrize(
+        "advice, counts, epsilon, inside, capped, partial",
+        [
+            # strict trigger at the 4th of 6 class-2 arrivals
+            ([2, 3, 5], [4, 6, 3], 0.0, True, False, True),
+            # relaxed: the 4th class-2 arrival is capped, the 5th triggers
+            ([2, 3, 5], [4, 6, 3], 0.5, True, True, True),
+            # relaxed, count within (1 + epsilon) A: capped, no trigger
+            ([2, 3, 5], [4, 4, 3], 0.5, False, True, True),
+            # lowest advised class is 2: its excess never triggers
+            ([0, 4, 6], [7, 9, 2], 0.0, False, False, True),
+            ([0, 4, 6], [0, 9, 8], 0.1, True, False, True),
+            # zero blocks before the trigger class
+            ([2, 3, 5], [0, 0, 9], 0.0, True, False, False),
+            ([2, 3, 5], [3, 0, 0], 0.0, False, False, True),
+        ],
+    )
+    def test_hand_cases(self, advice, counts, epsilon, inside, capped, partial):
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 10)
+        adv = core.make_advice(lad, advice)
+        plan = plan_from(*self.PLAN)
+        inst = block_steps(counts)
+        trace = step_revenue(lad, adv, plan, epsilon, inst)
+        # check that the case has the shape it is listed for
+        starts = np.cumsum([0] + counts)
+        tau = trace.trigger_time
+        assert inside == any(
+            tau is not None and s + 1 < tau <= e for s, e in zip(starts, starts[1:])
+        )
+        acc = trace.accepted
+        sold_before = np.cumsum(acc) - acc
+        room = plan.base[np.array(inst.steps) - 1] - sold_before
+        phase1 = np.arange(1, len(acc) + 1) < (tau or np.inf)
+        assert capped == bool(np.any(phase1 & (acc == 0.0) & (room > 0.0)))
+        assert partial == bool(np.any((acc > 0.0) & (acc < 1.0)))
+        assert_close(switch_block_revenue(lad, adv, plan, counts, epsilon), trace.revenue)
+
+    def test_negative_epsilon_rejected(self):
+        lad = core.make_fare_ladder([1.0, 2.0], 2)
+        adv = core.make_advice(lad, [1, 1])
+        with pytest.raises(ValueError):
+            switch_block_revenue(lad, adv, plan_from([1.0, 1.0], [0.0] * 4), [1, 1], -0.1)
 
 
 class TestTraceOutputs:
