@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -285,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.epsilon < math.inf:
+            raise ConfigError(f"--epsilon {args.epsilon!r} must be positive and finite")
         cfg = _load_config(args.config)
         _COMMANDS[args.command](cfg, Path(args.out), args)
     except ConfigError as exc:

@@ -127,50 +127,58 @@ def average_cr(
     ``lp_relaxed`` (the error-tolerant switching policy at
     ``relaxed_epsilon``).
     """
+    setup = _policy_setup(ladder, advice, policy, gamma, epsilon, relaxed_epsilon)
     ratios = _realized_ratios(
-        ladder, advice, policy, gamma, sample_counts(ladder, advice, noise),
-        epsilon, relaxed_epsilon, check_bound,
+        ladder, advice, policy, setup, sample_counts(ladder, advice, noise), check_bound
     )
     return _mean_std(ratios)
+
+
+def _policy_setup(
+    ladder: core.FareLadder, advice: core.Advice, policy: str, gamma: float,
+    epsilon: float = 1e-6, relaxed_epsilon: float = 0.1,
+):
+    """A policy's inputs at ``(advice, gamma)``: levels, or a switch plan
+    with its trigger slack."""
+    if policy in ("lp_optimal", "lp_relaxed"):
+        if policy == "lp_relaxed" and relaxed_epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
+        eps = relaxed_epsilon if policy == "lp_relaxed" else 0.0
+        return derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma)), eps
+    if policy == "optimal_pl":
+        return protect.optimal_protection_levels(ladder, advice, gamma, epsilon)[0]
+    if policy == "bq":
+        return bq_levels(ladder)
+    raise ValueError(f"unknown policy {policy!r}")
 
 
 def _realized_ratios(
     ladder: core.FareLadder,
     advice: core.Advice,
     policy: str,
-    gamma: float,
+    setup,
     counts: np.ndarray,
-    epsilon: float = 1e-6,
-    relaxed_epsilon: float = 0.1,
     check_bound: bool = True,
 ) -> np.ndarray:
     """Realized competitive ratio of a policy on every row of ``counts``.
 
-    Each row is an increasing block instance (as from ``sample_counts``),
-    so every policy runs in closed form on its counts.  A row whose
-    optimum is zero scores 1.  With ``check_bound`` the robustness bound
-    is asserted on every row for the protection-level policies.
+    ``setup`` comes from ``_policy_setup``.  Each row is an increasing
+    block instance (as from ``sample_counts``), so every policy runs in
+    closed form on its counts.  A row whose optimum is zero scores 1.
+    With ``check_bound`` the robustness bound is asserted on every row for
+    the protection-level policies.
     """
     rows = counts.tolist()
     if policy in ("lp_optimal", "lp_relaxed"):
-        if policy == "lp_relaxed" and relaxed_epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        eps = relaxed_epsilon if policy == "lp_relaxed" else 0.0
-        plan = derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma))
+        plan, eps = setup
         revenue = [switch_block_revenue(ladder, advice, plan, r, eps) for r in rows]
-    elif policy in ("optimal_pl", "bq"):
-        if policy == "optimal_pl":
-            levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, epsilon)
-        else:
-            levels = bq_levels(ladder)
-        revenue = [block_revenue(ladder.fares, levels.levels, r) for r in rows]
     else:
-        raise ValueError(f"unknown policy {policy!r}")
+        revenue = [block_revenue(ladder.fares, setup.levels, r) for r in rows]
     opt = core.count_opt(ladder, counts)
     ratios = np.divide(revenue, opt, out=np.ones(len(rows)), where=opt > 0.0)
     if check_bound and policy in ("optimal_pl", "bq"):
         consistency = block_revenue(
-            ladder.fares, levels.levels, advice.cap_counts
+            ladder.fares, setup.levels, advice.cap_counts
         ) / core.advice_opt(ladder, advice)
         check_robustness_bound(ladder, advice, consistency, ratios, counts)
     return ratios
@@ -198,20 +206,24 @@ def robustness_sweep(
     Each (advice, noise) cell samples its instances once and shares them
     across gammas and policies, so curves are compared on common draws; the
     per-cell seed is derived from the top seed and the (advice, noise)
-    indices.
+    indices.  Each (advice, gamma, policy) sets up its plan or levels once
+    for all noise levels.
     """
     rows: list[SweepRow] = []
     for ai, advice in enumerate(advices):
+        setups = [
+            [_policy_setup(ladder, advice, p, float(gamma), epsilon) for p in policies]
+            for gamma in gammas
+        ]
         for vi, v in enumerate(v_list):
             noise = NoiseConfig(
                 v=float(v), trials=trials, seed=derive_key(seed, ai * 1024 + vi)
             )
             counts = sample_counts(ladder, advice, noise)
-            for gamma in gammas:
-                for policy in policies:
+            for gamma, gamma_setups in zip(gammas, setups):
+                for policy, setup in zip(policies, gamma_setups):
                     mean, std = _mean_std(_realized_ratios(
-                        ladder, advice, policy, float(gamma), counts,
-                        epsilon=epsilon, check_bound=check_bound,
+                        ladder, advice, policy, setup, counts, check_bound
                     ))
                     rows.append(
                         SweepRow(

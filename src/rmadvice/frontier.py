@@ -48,17 +48,26 @@ def consistency_frontier(
     gamma_grid=None,
     epsilon: float = 1e-6,
 ) -> FrontierCurve:
-    """Evaluate both consistency curves over a gamma grid."""
+    """Evaluate both consistency curves over a gamma grid.
+
+    ``beta_lp`` takes one LP solve per gamma, without the tie-break of
+    ``lp.solve_lp`` (which moves the plan, not beta), and its point must
+    violate no row or bound by more than 1e-9 (``lp.check_point``).
+    """
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(ladder)
     gammas = np.asarray(gamma_grid, dtype=float)
     beta_lp = np.empty_like(gammas)
     beta_pl = np.empty_like(gammas)
     for i, g in enumerate(gammas):
-        solution = lp.optimal_consistency(ladder, advice, float(g))
-        if solution.status != "optimal":
-            raise RuntimeError(f"LP not optimal at gamma={g}: {solution.status}")
-        beta_lp[i] = solution.beta_star
+        model = lp.build_pareto_lp(ladder, advice, float(g))
+        result = lp.solve_beta(model)
+        if result.status != "optimal":
+            raise RuntimeError(f"LP not optimal at gamma={g}: {result.status}")
+        violation = lp.check_point(model, result.x)
+        if not violation <= 1e-9:
+            raise RuntimeError(f"LP point at gamma={g} violates the model by {violation}")
+        beta_lp[i] = result.x[0]
         _, beta_pl[i] = protect.optimal_protection_levels(
             ladder, advice, float(g), epsilon
         )

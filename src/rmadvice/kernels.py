@@ -165,12 +165,18 @@ def simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
                 leave = i
         if leave < 0:
             return 1
-        T[leave] /= T[leave, enter]
-        # Rows with a zero factor are skipped: subtracting 0 * x could turn
-        # a +0.0 entry into -0.0.
-        f = T[:, enter].copy()
-        f[leave] = 0.0
-        nz = np.flatnonzero(f)
-        T[nz] -= f[nz, None] * T[leave]
+        _pivot(T, leave, enter)
         basis[leave] = enter
     return 2
+
+
+def _pivot(T, row, col):
+    """Pivot the tableau in place on entry ``(row, col)``: scale the row to
+    a unit pivot, then clear the column from every other row."""
+    T[row] /= T[row, col]
+    # Rows with a zero factor are skipped: subtracting 0 * x could turn
+    # a +0.0 entry into -0.0.
+    f = T[:, col].copy()
+    f[row] = 0.0
+    nz = np.flatnonzero(f)
+    T[nz] -= f[nz, None] * T[row]

@@ -7,7 +7,8 @@ advice's revenue secured when the advice is realized) subject to remaining
 
 Variables, in fixed order: ``beta``, per-class phase-1 acceptances
 ``x_1..x_m``, and per-trigger-block fallback acceptances ``y(k)_j`` for
-``k, j = 1..m``.  Rows, in fixed order for each ``k = 1..m``:
+``k, j = 1..m``.  Rows, in fixed order: first all ``m`` rows of one kind
+for ``k = 1..m``, then all ``m`` of the other:
 
 * capacity: ``sum_{j<=k} x_j + sum_j y(k)_j <= n``
 * prefix competitiveness: ``sum_{j<=k} f_j x_j >= gamma * Opt(prefix_k)``
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .simplex import solve_simplex
+from .simplex import SimplexResult, solve_simplex
 
 
 @dataclass
@@ -57,15 +58,6 @@ class LPSolution:
     max_violation: float = np.nan
 
 
-def _var_index(m: int, kind: str, k: int = 0, j: int = 0) -> int:
-    """Column of a variable: beta, then x_j, then y(k)_j row-major."""
-    if kind == "beta":
-        return 0
-    if kind == "x":
-        return j  # j is 1-based
-    return 1 + m + (k - 1) * m + (j - 1)
-
-
 def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) -> LPModel:
     """Assemble the LP for one (ladder, advice, gamma) triple."""
     if gamma < 0.0 or gamma > core.bq_bound(ladder) + 1e-12:
@@ -75,59 +67,34 @@ def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) 
     scale = ladder.fares[-1]
     sf = tuple(f / scale for f in ladder.fares)
     scaled = core.FareLadder(fares=sf, capacity=n)
-    caps = advice.cap_counts
     opt_advice = core.advice_opt(scaled, advice)
 
     prefix, blocks = core.hard_counts(scaled, advice)
     opt_prefix = core.count_opt(scaled, prefix)
     opt_continued = core.count_opt(scaled, prefix[:, None] + blocks[None])
 
+    # Columns: beta, x, then y(k) row-major.  Row k-1 of ``lower`` marks
+    # classes 1..k, and of ``revenue`` holds their scaled fares.
+    lower = np.tri(m)
+    revenue = lower * np.asarray(sf)
+    fallback = np.zeros((m, m, m, m))  # continuation row (k, i), column y(k)_j
+    fallback[np.arange(m), :, np.arange(m), :] = revenue
+    rows = np.vstack([
+        np.hstack([np.zeros((m, 1)), lower, np.repeat(np.eye(m), m, axis=1)]),
+        np.hstack([np.zeros((m, 1)), revenue, np.zeros((m, m * m))]),
+        np.concatenate([[-opt_advice], sf, np.zeros(m * m)]),
+        np.hstack([
+            np.zeros((m * m, 1)), np.repeat(revenue, m, axis=0), fallback.reshape(m * m, m * m)
+        ]),
+    ])
+    rhs = np.concatenate([
+        np.full(m, float(n)), gamma * opt_prefix, [0.0], gamma * opt_continued.ravel()
+    ])
+
     nvars = 1 + m + m * m
-    rows: list[np.ndarray] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-
-    for k in range(1, m + 1):
-        row = np.zeros(nvars)
-        for j in range(1, k + 1):
-            row[_var_index(m, "x", j=j)] = 1.0
-        for j in range(1, m + 1):
-            row[_var_index(m, "y", k=k, j=j)] = 1.0
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(float(n))
-
-    for k in range(1, m + 1):
-        row = np.zeros(nvars)
-        for j in range(1, k + 1):
-            row[_var_index(m, "x", j=j)] = sf[j - 1]
-        rows.append(row)
-        senses.append(">=")
-        rhs.append(gamma * opt_prefix[k - 1])
-
-    link = np.zeros(nvars)
-    for j in range(1, m + 1):
-        link[_var_index(m, "x", j=j)] = sf[j - 1]
-    link[_var_index(m, "beta")] = -opt_advice
-    rows.append(link)
-    senses.append(">=")
-    rhs.append(0.0)
-
-    for k in range(1, m + 1):
-        for i in range(1, m + 1):
-            row = np.zeros(nvars)
-            for j in range(1, k + 1):
-                row[_var_index(m, "x", j=j)] = sf[j - 1]
-            for j in range(1, i + 1):
-                row[_var_index(m, "y", k=k, j=j)] = sf[j - 1]
-            rows.append(row)
-            senses.append(">=")
-            rhs.append(gamma * opt_continued[k - 1, i - 1])
-
     upper = np.full(nvars, np.inf)
     upper[0] = 1.0
-    for j in range(1, m + 1):
-        upper[_var_index(m, "x", j=j)] = float(caps[j - 1])
+    upper[1 : 1 + m] = advice.cap_counts
 
     objective = np.zeros(nvars)
     objective[0] = 1.0
@@ -137,9 +104,9 @@ def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) 
     ]
     return LPModel(
         objective=objective,
-        rows=np.array(rows),
-        senses=senses,
-        rhs=np.array(rhs),
+        rows=rows,
+        senses=["<="] * m + [">="] * (m + 1 + m * m),
+        rhs=rhs,
         upper=upper,
         labels=labels,
         m=m,
@@ -153,22 +120,31 @@ def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) 
 def check_point(model: LPModel, point: np.ndarray) -> float:
     """Largest normalized constraint violation of a candidate point.
 
-    Independent of the solver: walks every row and bound directly.  Each
-    row's violation is divided by its largest coefficient magnitude
-    (including the rhs).
+    Independent of the solver: evaluates every row and bound of the model
+    directly.  Each row's violation is divided by its largest coefficient
+    magnitude (including the rhs).  A NaN anywhere makes the result NaN.
     """
     point = np.asarray(point, dtype=float)
-    worst = 0.0
-    for row, sense, b in zip(model.rows, model.senses, model.rhs):
-        lhs = float(row @ point)
-        violation = lhs - b if sense == "<=" else b - lhs
-        norm = max(np.max(np.abs(row)), abs(b), 1e-300)
-        worst = max(worst, violation / norm)
-    for j, u in enumerate(model.upper):
-        worst = max(worst, -point[j])
-        if np.isfinite(u):
-            worst = max(worst, (point[j] - u) / max(abs(u), 1.0))
-    return worst
+    lhs = model.rows @ point
+    ge = np.array([s == ">=" for s in model.senses], dtype=bool)
+    violation = np.where(ge, model.rhs - lhs, lhs - model.rhs)
+    norm = np.maximum(np.abs(model.rows).max(axis=1), np.abs(model.rhs))
+    bounded = np.isfinite(model.upper)
+    u = model.upper[bounded]
+    worst = np.max(np.concatenate([
+        violation / np.maximum(norm, 1e-300),
+        -point,
+        (point[bounded] - u) / np.maximum(np.abs(u), 1.0),
+    ]))
+    return 0.0 if worst <= 0.0 else float(worst)
+
+
+def solve_beta(model: LPModel) -> SimplexResult:
+    """Maximize beta: the first solve of ``solve_lp``, without its tie-break."""
+    return solve_simplex(
+        model.objective, model.rows, model.senses, model.rhs,
+        upper=model.upper, maximize=True,
+    )
 
 
 def solve_lp(model: LPModel) -> LPSolution:
@@ -180,10 +156,7 @@ def solve_lp(model: LPModel) -> LPSolution:
     fallback mass, so the policy derived from the solution keeps selling
     after a switch whenever the constraints allow it.
     """
-    result = solve_simplex(
-        model.objective, model.rows, model.senses, model.rhs,
-        upper=model.upper, maximize=True,
-    )
+    result = solve_beta(model)
     m = model.m
     if result.status != "optimal":
         return LPSolution(

@@ -12,12 +12,11 @@ advice-shaped instance; a binary search then finds the largest feasible
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import core
-from .policies import ProtectionLevels, block_revenue
+from .policies import ProtectionLevels
 
 
 @dataclass
@@ -47,29 +46,43 @@ def grow_levels_for_beta(
     the per-advice inputs (``_advice_terms``) across the passes of one
     search; they are computed here when omitted.
     """
-    m = ladder.m
     n = ladder.capacity
     fares = ladder.fares
     prefix, blocks, opt_advice, tails = (
         _advice_terms(ladder, advice) if terms is None else terms
     )
-    levels = np.zeros(m)
-    comp_inc = np.zeros(m)
-    cons_inc = np.zeros(m)
-    for k in range(1, m + 1):
-        fk = fares[k - 1]
-        levels[k - 1 :] = levels[k - 2] if k > 1 else 0.0
-
+    goal = beta * opt_advice
+    levels: list[float] = []
+    comp_inc: list[float] = []
+    cons_inc: list[float] = []
+    for k, fk in enumerate(fares):
+        # Classes from k up share one level while class k is grown; the
+        # revenues are ``block_revenue`` on the levels so far, inlined.
+        level = levels[-1] if k else 0.0
+        have = 0.0
+        if k:
+            q = 0.0
+            for j, c in enumerate(blocks[k - 1]):
+                take = min(float(c), max(0.0, (levels[j] if j < k else level) - q))
+                have += take * fares[j]
+                q += take
         target = gamma * n * fk  # offline optimum of the block instance
-        have = block_revenue(fares, levels, blocks[k - 2]) if k > 1 else 0.0
-        comp_inc[k - 1] = max(0.0, (target - have) / fk)
-        levels[k - 1 :] += comp_inc[k - 1]
+        comp = max(0.0, (target - have) / fk)
+        level += comp
 
-        have_advice = block_revenue(fares, levels, prefix[k - 1])
-        tail = tails[k - 1]
-        if have_advice + tail < beta * opt_advice:
-            cons_inc[k - 1] = (beta * opt_advice - have_advice - tail) / fk
-            levels[k - 1 :] += cons_inc[k - 1]
+        have_advice = 0.0
+        q = 0.0
+        for j, c in enumerate(prefix[k]):
+            take = min(float(c), max(0.0, (levels[j] if j < k else level) - q))
+            have_advice += take * fares[j]
+            q += take
+        cons = 0.0
+        if have_advice + tails[k] < goal:
+            cons = (goal - have_advice - tails[k]) / fk
+            level += cons
+        levels.append(level)
+        comp_inc.append(comp)
+        cons_inc.append(cons)
 
     feasible = bool(levels[-1] <= n + 1e-9 * max(1.0, n))
     return LevelsCandidate(
@@ -104,13 +117,14 @@ def optimal_protection_levels(
 ) -> tuple[ProtectionLevels, float]:
     """Binary-search the largest consistency attainable at ratio ``gamma``.
 
-    Searches ``beta`` over ``[bq_bound, 1]`` to accuracy ``epsilon`` and
-    returns the levels grown at the proven-feasible lower endpoint together
-    with that endpoint (a consistency guarantee, within ``epsilon`` of the
-    true protection-level optimum).
+    Searches ``beta`` over ``[bq_bound, 1]`` to accuracy ``epsilon``, or
+    until no double lies between the endpoints, and returns the levels
+    grown at the proven-feasible lower endpoint together with that
+    endpoint (a consistency guarantee, within ``epsilon`` of the true
+    protection-level optimum).
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     bound = core.bq_bound(ladder)
     if gamma < 0.0 or gamma > bound + 1e-12:
         raise ValueError("gamma must lie in [0, bq_bound(ladder)]")
@@ -121,6 +135,8 @@ def optimal_protection_levels(
     hi = 1.0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no double left between the endpoints
+            break
         if grow_levels_for_beta(ladder, advice, gamma, mid, terms).feasible:
             lo = mid
         else:

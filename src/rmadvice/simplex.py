@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import simplex_iterate
+from .kernels import _pivot, simplex_iterate
 
 FEAS_TOL = 1e-9
 COST_TOL = 1e-9
@@ -49,65 +49,51 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
     senses = list(senses)
     if A.shape[0] != len(senses) or A.shape[0] != b.shape[0]:
         raise ValueError("constraint rows, senses, and rhs must align")
+    if not set(senses) <= {"<=", ">="}:
+        raise ValueError("row sense must be '<=' or '>='")
 
-    rows = [A[i].copy() for i in range(A.shape[0])]
-    rhs = list(b)
-    row_senses = list(senses)
+    # Finite upper bounds become "<=" rows after the constraints.
+    M, rv = A.copy(), b
     if upper is not None:
         upper = np.asarray(upper, dtype=float)
-        for j in range(nvars):
-            if np.isfinite(upper[j]):
-                bound_row = np.zeros(nvars)
-                bound_row[j] = 1.0
-                rows.append(bound_row)
-                rhs.append(float(upper[j]))
-                row_senses.append("<=")
-
-    nrows = len(rows)
-    M = np.array(rows, dtype=float).reshape(nrows, nvars)
-    rv = np.array(rhs, dtype=float)
+        bounded = np.flatnonzero(np.isfinite(upper))
+        M = np.vstack([M, np.eye(nvars)[bounded]])
+        rv = np.append(rv, upper[bounded])
+    nrows = M.shape[0]
 
     # Normalize ">=" rows to "<=" and scale each row by its largest entry.
-    for i in range(nrows):
-        if row_senses[i] == ">=":
-            M[i] = -M[i]
-            rv[i] = -rv[i]
-        elif row_senses[i] != "<=":
-            raise ValueError("row sense must be '<=' or '>='")
-        scale = np.max(np.abs(M[i]))
-        if scale > 0.0:
-            M[i] /= scale
-            rv[i] /= scale
+    ge = np.zeros(nrows, dtype=bool)
+    ge[: len(senses)] = [s == ">=" for s in senses]
+    M[ge] = -M[ge]
+    rv[ge] = -rv[ge]
+    scale = np.abs(M).max(axis=1, initial=0.0)
+    scaled = scale > 0.0
+    M[scaled] /= scale[scaled, None]
+    rv[scaled] /= scale[scaled]
 
     # Standard form: M x + s = rv with s >= 0; rows with negative rhs get
     # negated (slack coefficient -1) and an artificial variable.
-    art_rows = [i for i in range(nrows) if rv[i] < 0.0]
-    nart = len(art_rows)
+    negative = rv < 0.0
+    art_rows = np.flatnonzero(negative)
+    nart = art_rows.size
     ncols = nvars + nrows  # structural + slack columns; artificials follow
     total = ncols + nart
+    sign = np.where(negative, -1.0, 1.0)
+    every = np.arange(nrows)
     T = np.zeros((nrows + 1, total + 1))
-    basis = np.empty(nrows, dtype=np.int64)
-    ai = 0
-    for i in range(nrows):
-        sign = -1.0 if rv[i] < 0.0 else 1.0
-        T[i, :nvars] = sign * M[i]
-        T[i, nvars + i] = sign
-        T[i, total] = sign * rv[i]
-        if rv[i] < 0.0:
-            T[i, ncols + ai] = 1.0
-            basis[i] = ncols + ai
-            ai += 1
-        else:
-            basis[i] = nvars + i
+    T[:nrows, :nvars] = sign[:, None] * M
+    T[every, nvars + every] = sign
+    T[:nrows, total] = sign * rv
+    T[art_rows, ncols + np.arange(nart)] = 1.0
+    basis = nvars + every
+    basis[art_rows] = ncols + np.arange(nart)
 
     if nart > 0:
         # Phase 1: minimize the sum of artificials.  Reduced costs start as
         # the phase-1 objective minus the rows of the (artificial) basis.
-        for i in range(nrows):
-            if basis[i] >= ncols:
-                T[nrows] -= T[i]
-        for j in range(ncols, total):
-            T[nrows, j] = 0.0
+        for i in art_rows:
+            T[nrows] -= T[i]
+        T[nrows, ncols:total] = 0.0
         status = simplex_iterate(T, basis, total, COST_TOL, PIVOT_TOL)
         if status == 2:
             raise SolverError("phase-1 iteration cap exceeded")
@@ -116,17 +102,11 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
             return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
         # Pivot remaining basic artificials out where possible; rows whose
         # non-artificial coefficients vanished are redundant and inert.
-        for i in range(nrows):
-            if basis[i] >= ncols:
-                for j in range(ncols):
-                    if abs(T[i, j]) > 10.0 * PIVOT_TOL:
-                        piv = T[i, j]
-                        T[i] /= piv
-                        for r in range(nrows + 1):
-                            if r != i and T[r, j] != 0.0:
-                                T[r] -= T[r, j] * T[i]
-                        basis[i] = j
-                        break
+        for i in np.flatnonzero(basis >= ncols):
+            candidates = np.flatnonzero(np.abs(T[i, :ncols]) > 10.0 * PIVOT_TOL)
+            if candidates.size:
+                _pivot(T, i, candidates[0])
+                basis[i] = candidates[0]
 
     # Phase 2: restore the true objective relative to the current basis.
     obj = np.zeros(total + 1)
@@ -144,8 +124,7 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
                              x=np.full(nvars, np.nan))
 
     x_full = np.zeros(total)
-    for i in range(nrows):
-        x_full[basis[i]] = T[i, total]
+    x_full[basis] = T[:nrows, total]
     x = np.where(np.abs(x_full[:nvars]) < 1e-12, 0.0, x_full[:nvars])
     value = float(c @ x)
     return SimplexResult(status="optimal", objective=value, x=x)

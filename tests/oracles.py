@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the solvers.
 
 Everything here is deliberately naive: vertex enumeration for LPs, an
-element-by-element simplex pivot, a direct per-arrival replay for policies,
+element-by-element simplex pivot, a row-by-row simplex tableau set-up, a
+numpy protection-level growing pass, a direct per-arrival replay for policies,
 the adversarial instance family built arrival by arrival, noisy
 instances sampled one trial at a time, and a sort-and-sum offline optimum.
 Slow but obviously correct on the small cases the tests feed it.  The
@@ -15,10 +16,12 @@ import math
 
 import numpy as np
 
-from rmadvice import core, protect
+from rmadvice import core, lp, protect
 from rmadvice.core import Instance
+from rmadvice.kernels import simplex_iterate
 from rmadvice.policies import block_revenue
 from rmadvice.rng import CounterRng, derive_key
+from rmadvice.simplex import COST_TOL, PIVOT_TOL, SimplexResult, SolverError
 
 
 def vertex_enumeration_lp(c, A, senses, b, upper=None, tol=1e-9):
@@ -223,3 +226,259 @@ def rounding_report(ladder, trace):
         "reserved_seats": ladder.m,
         "relative_degradation_bound": ladder.m / ladder.capacity,
     }
+
+
+def reference_grow_levels(ladder, advice, gamma, beta):
+    """Reference protection-level growing pass over numpy arrays, calling
+    ``block_revenue`` on the whole level vector; same contract as
+    ``protect.grow_levels_for_beta``."""
+    m = ladder.m
+    n = ladder.capacity
+    fares = ladder.fares
+    prefix, blocks, opt_advice, tails = protect._advice_terms(ladder, advice)
+    levels = np.zeros(m)
+    comp_inc = np.zeros(m)
+    cons_inc = np.zeros(m)
+    for k in range(1, m + 1):
+        fk = fares[k - 1]
+        levels[k - 1 :] = levels[k - 2] if k > 1 else 0.0
+
+        target = gamma * n * fk
+        have = block_revenue(fares, levels, blocks[k - 2]) if k > 1 else 0.0
+        comp_inc[k - 1] = max(0.0, (target - have) / fk)
+        levels[k - 1 :] += comp_inc[k - 1]
+
+        have_advice = block_revenue(fares, levels, prefix[k - 1])
+        tail = tails[k - 1]
+        if have_advice + tail < beta * opt_advice:
+            cons_inc[k - 1] = (beta * opt_advice - have_advice - tail) / fk
+            levels[k - 1 :] += cons_inc[k - 1]
+
+    feasible = bool(levels[-1] <= n + 1e-9 * max(1.0, n))
+    return protect.LevelsCandidate(
+        levels=tuple(levels),
+        competitive_increments=tuple(comp_inc),
+        consistency_increments=tuple(cons_inc),
+        feasible=feasible,
+    )
+
+
+def reference_solve_simplex(c, A, senses, b, upper=None, maximize=True):
+    """Reference two-phase simplex that builds its tableau and pivots the
+    phase-1 artificials out one row and one element at a time; same
+    contract as ``simplex.solve_simplex``, pivoting with
+    ``kernels.simplex_iterate``."""
+    c = np.asarray(c, dtype=float)
+    nvars = c.shape[0]
+    A = np.asarray(A, dtype=float).reshape(-1, nvars)
+    b = np.asarray(b, dtype=float).copy()
+    senses = list(senses)
+    if A.shape[0] != len(senses) or A.shape[0] != b.shape[0]:
+        raise ValueError("constraint rows, senses, and rhs must align")
+
+    rows = [A[i].copy() for i in range(A.shape[0])]
+    rhs = list(b)
+    row_senses = list(senses)
+    if upper is not None:
+        upper = np.asarray(upper, dtype=float)
+        for j in range(nvars):
+            if np.isfinite(upper[j]):
+                bound_row = np.zeros(nvars)
+                bound_row[j] = 1.0
+                rows.append(bound_row)
+                rhs.append(float(upper[j]))
+                row_senses.append("<=")
+
+    nrows = len(rows)
+    M = np.array(rows, dtype=float).reshape(nrows, nvars)
+    rv = np.array(rhs, dtype=float)
+    for i in range(nrows):
+        if row_senses[i] == ">=":
+            M[i] = -M[i]
+            rv[i] = -rv[i]
+        elif row_senses[i] != "<=":
+            raise ValueError("row sense must be '<=' or '>='")
+        scale = np.max(np.abs(M[i]))
+        if scale > 0.0:
+            M[i] /= scale
+            rv[i] /= scale
+
+    art_rows = [i for i in range(nrows) if rv[i] < 0.0]
+    nart = len(art_rows)
+    ncols = nvars + nrows
+    total = ncols + nart
+    T = np.zeros((nrows + 1, total + 1))
+    basis = np.empty(nrows, dtype=np.int64)
+    ai = 0
+    for i in range(nrows):
+        sign = -1.0 if rv[i] < 0.0 else 1.0
+        T[i, :nvars] = sign * M[i]
+        T[i, nvars + i] = sign
+        T[i, total] = sign * rv[i]
+        if rv[i] < 0.0:
+            T[i, ncols + ai] = 1.0
+            basis[i] = ncols + ai
+            ai += 1
+        else:
+            basis[i] = nvars + i
+
+    if nart > 0:
+        for i in range(nrows):
+            if basis[i] >= ncols:
+                T[nrows] -= T[i]
+        for j in range(ncols, total):
+            T[nrows, j] = 0.0
+        status = simplex_iterate(T, basis, total, COST_TOL, PIVOT_TOL)
+        if status == 2:
+            raise SolverError("phase-1 iteration cap exceeded")
+        if -T[nrows, total] > 1e-7:
+            return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
+        for i in range(nrows):
+            if basis[i] >= ncols:
+                for j in range(ncols):
+                    if abs(T[i, j]) > 10.0 * PIVOT_TOL:
+                        piv = T[i, j]
+                        T[i] /= piv
+                        for r in range(nrows + 1):
+                            if r != i and T[r, j] != 0.0:
+                                T[r] -= T[r, j] * T[i]
+                        basis[i] = j
+                        break
+
+    obj = np.zeros(total + 1)
+    obj[:nvars] = -c if maximize else c
+    for i in range(nrows):
+        col = basis[i]
+        if col < nvars and obj[col] != 0.0:
+            obj -= obj[col] * T[i]
+    T[nrows] = obj
+    status = simplex_iterate(T, basis, ncols, COST_TOL, PIVOT_TOL)
+    if status == 2:
+        raise SolverError("phase-2 iteration cap exceeded")
+    if status == 1:
+        return SimplexResult(status="unbounded", objective=np.inf if maximize else -np.inf,
+                             x=np.full(nvars, np.nan))
+
+    x_full = np.zeros(total)
+    for i in range(nrows):
+        x_full[basis[i]] = T[i, total]
+    x = np.where(np.abs(x_full[:nvars]) < 1e-12, 0.0, x_full[:nvars])
+    return SimplexResult(status="optimal", objective=float(c @ x), x=x)
+
+
+def _var_index(m, kind, k=0, j=0):
+    """Column of a variable: beta, then x_j, then y(k)_j row-major."""
+    if kind == "beta":
+        return 0
+    if kind == "x":
+        return j  # j is 1-based
+    return 1 + m + (k - 1) * m + (j - 1)
+
+
+def reference_build_pareto_lp(ladder, advice, gamma):
+    """Reference LP builder filling one row at a time by variable index;
+    same contract as ``lp.build_pareto_lp``."""
+    if gamma < 0.0 or gamma > core.bq_bound(ladder) + 1e-12:
+        raise ValueError("gamma must lie in [0, bq_bound(ladder)]")
+    m = ladder.m
+    n = ladder.capacity
+    scale = ladder.fares[-1]
+    sf = tuple(f / scale for f in ladder.fares)
+    scaled = core.FareLadder(fares=sf, capacity=n)
+    caps = advice.cap_counts
+    opt_advice = core.advice_opt(scaled, advice)
+
+    prefix, blocks = core.hard_counts(scaled, advice)
+    opt_prefix = core.count_opt(scaled, prefix)
+    opt_continued = core.count_opt(scaled, prefix[:, None] + blocks[None])
+
+    nvars = 1 + m + m * m
+    rows = []
+    senses = []
+    rhs = []
+
+    for k in range(1, m + 1):
+        row = np.zeros(nvars)
+        for j in range(1, k + 1):
+            row[_var_index(m, "x", j=j)] = 1.0
+        for j in range(1, m + 1):
+            row[_var_index(m, "y", k=k, j=j)] = 1.0
+        rows.append(row)
+        senses.append("<=")
+        rhs.append(float(n))
+
+    for k in range(1, m + 1):
+        row = np.zeros(nvars)
+        for j in range(1, k + 1):
+            row[_var_index(m, "x", j=j)] = sf[j - 1]
+        rows.append(row)
+        senses.append(">=")
+        rhs.append(gamma * opt_prefix[k - 1])
+
+    link = np.zeros(nvars)
+    for j in range(1, m + 1):
+        link[_var_index(m, "x", j=j)] = sf[j - 1]
+    link[_var_index(m, "beta")] = -opt_advice
+    rows.append(link)
+    senses.append(">=")
+    rhs.append(0.0)
+
+    for k in range(1, m + 1):
+        for i in range(1, m + 1):
+            row = np.zeros(nvars)
+            for j in range(1, k + 1):
+                row[_var_index(m, "x", j=j)] = sf[j - 1]
+            for j in range(1, i + 1):
+                row[_var_index(m, "y", k=k, j=j)] = sf[j - 1]
+            rows.append(row)
+            senses.append(">=")
+            rhs.append(gamma * opt_continued[k - 1, i - 1])
+
+    upper = np.full(nvars, np.inf)
+    upper[0] = 1.0
+    for j in range(1, m + 1):
+        upper[_var_index(m, "x", j=j)] = float(caps[j - 1])
+
+    objective = np.zeros(nvars)
+    objective[0] = 1.0
+
+    labels = ["beta"] + [f"x_{j}" for j in range(1, m + 1)] + [
+        f"y_{k}_{j}" for k in range(1, m + 1) for j in range(1, m + 1)
+    ]
+    return lp.LPModel(
+        objective=objective,
+        rows=np.array(rows),
+        senses=senses,
+        rhs=np.array(rhs),
+        upper=upper,
+        labels=labels,
+        m=m,
+        gamma=gamma,
+        capacity=n,
+        advice_opt_scaled=opt_advice,
+        scaled_fares=sf,
+    )
+
+
+def reference_check_point(model, point):
+    """Reference feasibility check walking one row and one bound at a time;
+    same contract as ``lp.check_point`` up to the summation order of each
+    row's dot product."""
+    point = np.asarray(point, dtype=float)
+    worst = 0.0
+    for row, sense, b in zip(model.rows, model.senses, model.rhs):
+        lhs = float(row @ point)
+        violation = lhs - b if sense == "<=" else b - lhs
+        worst = max(worst, violation / max(np.max(np.abs(row)), abs(b), 1e-300))
+    for j, u in enumerate(model.upper):
+        worst = max(worst, -point[j])
+        if np.isfinite(u):
+            worst = max(worst, (point[j] - u) / max(abs(u), 1.0))
+    return worst
+
+
+def same_bits(a, b) -> bool:
+    """True when two float arrays (or scalars) agree bit for bit, so that
+    -0.0 differs from 0.0 and equal NaNs match."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

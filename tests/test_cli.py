@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rmadvice import experiments
+from rmadvice import experiments, lp
 from rmadvice.cli import main
 
 
@@ -75,6 +75,27 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["frontier", "protect", "rs-grid", "robustness"])
+    @pytest.mark.parametrize("epsilon", ["nan", "-1", "0", "inf"])
+    def test_bad_epsilon(self, tmp_path, capsys, command, epsilon):
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), f"--epsilon={epsilon}"]
+        assert main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["frontier", "protect"])
+    def test_epsilon_below_double_resolution_finishes(self, tmp_path, command):
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.0, 0.3]))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--epsilon", "1e-20"]) == 0
+
+    def test_violating_lp_point_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lp, "check_point", lambda model, point: 1.0)
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
+        assert main(["frontier", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure:" in capsys.readouterr().err
 
     def test_robustness_bound_error_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         def violated(*args, **kwargs):

@@ -14,9 +14,9 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def ladders_and_advice(draw, max_m=5, max_n=8):
+def ladders_and_advice(draw, max_m=5, max_n=8, min_m=1):
     """A random ladder (any positive increasing fares) with a valid advice."""
-    m = draw(st.integers(1, max_m))
+    m = draw(st.integers(min_m, max_m))
     n = draw(st.integers(1, max_n))
     first = draw(st.floats(0.01, 100.0))
     steps = draw(st.lists(st.floats(0.001, 100.0), min_size=m - 1, max_size=m - 1))

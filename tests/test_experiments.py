@@ -221,6 +221,31 @@ class TestSweep:
         b = robustness_sweep(lad, [adv], **kwargs)
         assert sweep_to_csv(a) == sweep_to_csv(b)
 
+    def test_plans_and_levels_set_up_once_per_advice_and_gamma(self, monkeypatch):
+        # The criterion-10 noise sweep: 3 advices x 10 noise levels at one
+        # gamma needs one LP solve and one level search per advice.
+        calls = {"lp": 0, "levels": 0}
+        solve, search = lp.optimal_consistency, protect.optimal_protection_levels
+
+        def counting_solve(*args, **kwargs):
+            calls["lp"] += 1
+            return solve(*args, **kwargs)
+
+        def counting_search(*args, **kwargs):
+            calls["levels"] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "optimal_consistency", counting_solve)
+        monkeypatch.setattr(protect, "optimal_protection_levels", counting_search)
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
+        advices = [core.make_advice(lad, a) for a in ([70, 20, 10], [15, 70, 15], [10, 20, 70])]
+        rows = robustness_sweep(
+            lad, advices, gammas=[0.4], v_list=[round(0.1 * i, 1) for i in range(10)],
+            trials=5, seed=1357,
+        )
+        assert len(rows) == 3 * 10 * 3
+        assert calls == {"lp": 3, "levels": 3}
+
     def test_cells_match_average_cr(self):
         # one sample per (advice, v) cell, reused by every gamma and policy
         lad, adv = setup_case()

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from rmadvice import core, frontier
+from rmadvice import core, frontier, lp
+from rmadvice.simplex import SimplexResult
+
+from .oracles import same_bits
 
 
 class TestGammaGrid:
@@ -41,6 +44,36 @@ class TestFrontierCurve:
         )
         assert np.all(np.diff(curve.beta_lp) <= 1e-9)
         assert np.all(np.diff(curve.beta_pl) <= 2e-6)
+
+    @pytest.mark.parametrize(
+        "fares, n, counts",
+        [([1.0, 2.0, 4.0], 10, [0, 3, 7]), ([1.0, 1.7, 2.9, 5.3], 40, [9, 11, 7, 13])],
+    )
+    def test_beta_lp_is_the_lp_optimum_bitwise(self, fares, n, counts):
+        # One solve per gamma, without the tie-break: beta must be the same
+        # bits as the full lexicographic solve's beta*.
+        lad = core.make_fare_ladder(fares, n)
+        adv = core.make_advice(lad, counts)
+        grid = frontier.default_gamma_grid(lad, 11)
+        curve = frontier.consistency_frontier(lad, adv, grid)
+        for g, beta in zip(grid, curve.beta_lp):
+            assert same_bits(beta, lp.optimal_consistency(lad, adv, float(g)).beta_star)
+
+    @pytest.mark.parametrize("violation", [1.0, 2e-9, float("nan")])
+    def test_violating_lp_point_raises(self, monkeypatch, violation):
+        lad = core.make_fare_ladder([1.0, 2.0], 2)
+        adv = core.make_advice(lad, [0, 2])
+        monkeypatch.setattr(lp, "check_point", lambda model, point: violation)
+        with pytest.raises(RuntimeError, match="violates"):
+            frontier.consistency_frontier(lad, adv, [0.0, 0.5])
+
+    def test_non_optimal_lp_raises(self, monkeypatch):
+        lad = core.make_fare_ladder([1.0, 2.0], 2)
+        adv = core.make_advice(lad, [0, 2])
+        failed = SimplexResult(status="infeasible", objective=np.nan, x=np.full(7, np.nan))
+        monkeypatch.setattr(lp, "solve_beta", lambda model: failed)
+        with pytest.raises(RuntimeError, match="not optimal"):
+            frontier.consistency_frontier(lad, adv, [0.0, 0.5])
 
 
 class TestRelativeSuboptimality:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmadvice import core, lp
@@ -14,7 +14,10 @@ from .oracles import (
     block_instance,
     concat,
     hard_instances,
+    reference_build_pareto_lp,
+    reference_check_point,
     reference_opt,
+    same_bits,
     vertex_enumeration_lp,
 )
 from .test_core import PROPERTY, ladders_and_advice, relative_gap
@@ -220,3 +223,51 @@ class TestCrossChecks:
         assert sol.status == "optimal"
         assert sol.beta_star >= point[0] - 1e-9
         assert sol.beta_star >= gamma - 1e-9
+
+
+class TestArrayForms:
+    """The builder and the checker work on whole arrays; the references in
+    ``oracles`` fill and walk one row at a time."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(case=ladders_and_advice(max_m=6, max_n=40), share=st.floats(0.0, 1.0))
+    def test_builder_matches_row_by_row_reference_bitwise(self, case, share):
+        lad, adv = case
+        gamma = share * core.bq_bound(lad)
+        model = lp.build_pareto_lp(lad, adv, gamma)
+        ref = reference_build_pareto_lp(lad, adv, gamma)
+        for name in ("objective", "rows", "rhs", "upper"):
+            assert same_bits(getattr(model, name), getattr(ref, name))
+        assert model.senses == ref.senses
+        assert model.labels == ref.labels
+        assert same_bits(model.advice_opt_scaled, ref.advice_opt_scaled)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(
+        case=ladders_and_advice(min_m=2, max_m=6, max_n=40),
+        share=st.floats(0.0, 1.0),
+        noise=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_check_point_matches_row_by_row_reference(self, case, share, noise, seed):
+        # Only the summation order of each row's dot product differs.
+        lad, adv = case
+        model = lp.build_pareto_lp(lad, adv, share * core.bq_bound(lad))
+        point = lp.solve_beta(model).x
+        point = point + noise * np.random.default_rng(seed).normal(size=point.size)
+        got = lp.check_point(model, point)
+        assert got >= 0.0
+        assert abs(got - reference_check_point(model, point)) <= 1e-12
+
+    def test_check_point_nan_point_is_nan(self):
+        lad, adv = tiny()
+        model = lp.build_pareto_lp(lad, adv, 0.5)
+        point = np.full(model.rows.shape[1], np.nan)
+        assert np.isnan(lp.check_point(model, point))
+
+    def test_solve_lp_beta_is_solve_beta(self):
+        lad, adv = big_gap()
+        model = lp.build_pareto_lp(lad, adv, 1.0 / 3.0)
+        first = lp.solve_beta(model)
+        assert first.status == "optimal"
+        assert same_bits(first.x[0], lp.solve_lp(model).beta_star)

@@ -2,8 +2,12 @@
 
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmadvice import core, protect
 from rmadvice.policies import ProtectionLevels, block_revenue, run_protection_policy
@@ -13,7 +17,10 @@ from .oracles import (
     expected_search_passes,
     hard_instances,
     protection_consistency,
+    reference_grow_levels,
+    same_bits,
 )
+from .test_core import ladders_and_advice
 
 
 def tiny():
@@ -76,6 +83,27 @@ class TestGrowingPass:
         # once infeasible, stays infeasible.
         assert feas == sorted(feas, reverse=True)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        case=ladders_and_advice(min_m=2, max_m=6, max_n=200),
+        gamma_share=st.floats(0.0, 1.0),
+        beta_share=st.floats(0.0, 1.0),
+    )
+    def test_matches_numpy_reference_bitwise(self, case, gamma_share, beta_share):
+        # The pass runs on Python floats with block_revenue inlined; the
+        # reference runs on numpy arrays and calls block_revenue.  Same
+        # operations in the same order, so every bit must agree.
+        lad, adv = case
+        bound = core.bq_bound(lad)
+        gamma = gamma_share * bound
+        beta = bound + beta_share * (1.0 - bound)
+        got = protect.grow_levels_for_beta(lad, adv, gamma, beta)
+        ref = reference_grow_levels(lad, adv, gamma, beta)
+        assert same_bits(got.levels, ref.levels)
+        assert same_bits(got.competitive_increments, ref.competitive_increments)
+        assert same_bits(got.consistency_increments, ref.consistency_increments)
+        assert got.feasible is ref.feasible
+
 
 class TestBinarySearch:
     def test_tiny_optimum(self):
@@ -124,6 +152,35 @@ class TestBinarySearch:
         # final pass at the returned endpoint.
         expected = expected_search_passes(lad, 1e-6)
         assert calls["n"] == expected + 2
+
+    def test_tiny_epsilon_stops_at_double_resolution(self, monkeypatch):
+        # Below one ulp the interval cannot shrink, so the search must stop
+        # once the midpoint equals an endpoint rather than loop forever.
+        lad, adv = tiny()
+        calls = {"n": 0}
+        original = protect.grow_levels_for_beta
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > 200:
+                raise AssertionError("bisection did not stop after 200 passes")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protect, "grow_levels_for_beta", counting)
+        levels, beta = protect.optimal_protection_levels(lad, adv, 0.5, epsilon=1e-300)
+        monkeypatch.undo()
+        assert protect.grow_levels_for_beta(lad, adv, 0.5, beta).feasible
+        assert not protect.grow_levels_for_beta(
+            lad, adv, 0.5, math.nextafter(beta, 2.0)
+        ).feasible
+        _, coarse = protect.optimal_protection_levels(lad, adv, 0.5, epsilon=1e-6)
+        assert coarse <= beta <= coarse + 1e-6
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_epsilon_rejected(self, epsilon):
+        lad, adv = tiny()
+        with pytest.raises(ValueError):
+            protect.optimal_protection_levels(lad, adv, 0.5, epsilon=epsilon)
 
     def test_invalid_inputs(self):
         lad, adv = tiny()

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rmadvice import core, kernels, lp, simplex
 from rmadvice.simplex import solve_simplex
 
-from .oracles import vertex_enumeration_lp
+from . import oracles
+from .oracles import reference_solve_simplex, same_bits, vertex_enumeration_lp
+from .test_core import ladders_and_advice
 
 
 class TestHandCases:
@@ -102,3 +107,92 @@ class TestAgainstVertexEnumeration:
                     assert lhs >= bi - 1e-8
             assert np.all(res.x >= -1e-9)
             assert np.all(res.x <= upper + 1e-8)
+
+
+def assert_same_as_row_loop(*args, **kwargs):
+    """Solve with the array set-up and the row-loop reference.  Both must
+    hand the pivot loop the same tableaux bit for bit, so that the sign of
+    every zero matches, and give the same status and the same bits of
+    ``x``.  The pivot loop is deterministic and its inputs must match, so
+    the reference replays the loop's recorded results instead of pivoting
+    again."""
+    runs = []
+
+    def recording(T, basis, ncols, cost_tol, pivot_tol):
+        start = (T.shape, T.tobytes(), basis.tobytes(), ncols)
+        status = kernels.simplex_iterate(T, basis, ncols, cost_tol, pivot_tol)
+        runs.append((start, T.copy(), basis.copy(), status))
+        return status
+
+    def replaying(T, basis, ncols, cost_tol, pivot_tol):
+        assert runs, "the reference pivots more often than the solver"
+        start, T_out, basis_out, status = runs.pop(0)
+        assert (T.shape, T.tobytes(), basis.tobytes(), ncols) == start
+        T[...] = T_out
+        basis[...] = basis_out
+        return status
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "simplex_iterate", recording)
+        mp.setattr(oracles, "simplex_iterate", replaying)
+        res = solve_simplex(*args, **kwargs)
+        ref = reference_solve_simplex(*args, **kwargs)
+    assert not runs, "the solver pivots more often than the reference"
+    assert res.status == ref.status
+    assert same_bits(res.x, ref.x)
+    assert same_bits(res.objective, ref.objective)
+    return res
+
+
+COEF = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 0.3])
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs over a few coefficients, zeros frequent, so that all-zero
+    rows, infeasible and unbounded problems all come up."""
+    nvars = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, 5))
+    c = [draw(COEF) for _ in range(nvars)]
+    A = np.array([[draw(COEF) for _ in range(nvars)] for _ in range(nrows)])
+    senses = [draw(st.sampled_from(["<=", ">="])) for _ in range(nrows)]
+    b = [draw(st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.7])) for _ in range(nrows)]
+    upper = draw(st.none() | st.lists(
+        st.sampled_from([np.inf, 0.0, 1.0, 2.0]), min_size=nvars, max_size=nvars))
+    return c, A.reshape(nrows, nvars), senses, b, upper, draw(st.booleans())
+
+
+class TestAgainstRowLoopReference:
+    """The tableau set-up and the artificial pivot-out work on whole arrays;
+    ``reference_solve_simplex`` does both a row at a time.  Pivots see
+    every bit, including the sign of a zero, so results must match
+    exactly."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=ladders_and_advice(min_m=2, max_m=8, max_n=60), share=st.floats(0.0, 1.0))
+    def test_pareto_lps_bitwise(self, case, share):
+        lad, adv = case
+        statuses = []
+
+        def both(*args, **kwargs):
+            res = assert_same_as_row_loop(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        # Both solves of ``solve_lp``: beta, then the tie-break.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "solve_simplex", both)
+            lp.solve_lp(lp.build_pareto_lp(lad, adv, share * core.bq_bound(lad)))
+        assert statuses == ["optimal", "optimal"]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(small_lps())
+    @example(([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0], None, True))  # infeasible
+    @example(([1.0, 0.0], [[0.0, 1.0]], ["<="], [1.0], None, True))  # unbounded
+    @example(([1.0, 1.0], [[0.0, 0.0], [1.0, 1.0]], [">=", "<="], [-1.0, 2.0], None, True))
+    @example(([1.0], [[0.0]], [">="], [1.0], [2.0], False))  # zero row, infeasible
+    @example(([-1.0, 2.0], [[0.0, 0.0], [1.0, -1.0]], [">=", ">="], [0.0, 1.0], [np.inf, 3.0],
+              False))  # zero row with a zero rhs, flipped to -0.0
+    def test_small_lps_bitwise(self, lp_case):
+        c, A, senses, b, upper, maximize = lp_case
+        assert_same_as_row_loop(c, A, senses, b, upper=upper, maximize=maximize)
