@@ -7,14 +7,11 @@ and Monte-Carlo experiments.
 
 from .core import (
     Advice,
-    ConformanceParams,
     FareLadder,
     Instance,
-    advice_distance,
     advice_opt,
     bq_bound,
-    conforms,
-    conforms_relaxed,
+    check_gamma,
     count_distance,
     count_opt,
     hard_counts,

@@ -64,13 +64,9 @@ def _advice(cfg: dict, ladder: core.FareLadder) -> core.Advice:
 def _gamma(value, ladder: core.FareLadder) -> float:
     """A competitiveness target, required to lie in [0, c(F)]."""
     try:
-        gamma = float(value)
+        return core.check_gamma(ladder, float(value))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad gamma: {exc}") from exc
-    bound = core.bq_bound(ladder)
-    if not 0.0 <= gamma <= bound + 1e-12:
-        raise ConfigError(f"gamma {gamma!r} must lie in [0, c(F)] = [0, {bound!r}]")
-    return gamma
 
 
 def _whole(value, name: str) -> int:
@@ -211,8 +207,6 @@ def cmd_solve_lp(cfg: dict, out: Path, args) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     solution = lp.solve_lp(model)
-    if solution.status != "optimal":
-        raise SolverError(f"LP status: {solution.status}")
     payload = {
         "gamma": gamma,
         "status": solution.status,

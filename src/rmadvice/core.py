@@ -73,22 +73,6 @@ class Instance:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class ConformanceParams:
-    """Multiplicative slack for relaxed advice conformance.
-
-    ``mu`` bounds count overshoot above the lowest predicted class and
-    ``nu`` bounds count undershoot at or above it.
-    """
-
-    mu: float
-    nu: float
-
-    def __post_init__(self):
-        if self.mu < 0.0 or self.nu < 0.0:
-            raise ValueError("conformance slack parameters must be nonnegative")
-
-
 def make_fare_ladder(fares, capacity: int) -> FareLadder:
     """Validate and build a fare ladder."""
     fares = tuple(float(f) for f in fares)
@@ -133,6 +117,15 @@ def make_instance(ladder: FareLadder, steps) -> Instance:
 def fare_counts(instance: Instance, m: int) -> np.ndarray:
     """Number of arrivals per fare class (length-m integer vector)."""
     return np.bincount(np.asarray(instance.steps, dtype=np.int64), minlength=m + 1)[1:]
+
+
+def check_gamma(ladder: FareLadder, gamma: float) -> float:
+    """Return ``gamma`` if it lies in ``[0, c(F)]`` (with 1e-12 slack at the
+    top), else raise ``ValueError``; NaN is rejected."""
+    bound = bq_bound(ladder)
+    if not 0.0 <= gamma <= bound + 1e-12:
+        raise ValueError(f"gamma {gamma!r} must lie in [0, c(F)] = [0, {bound!r}]")
+    return gamma
 
 
 def bq_bound(ladder: FareLadder) -> float:
@@ -185,48 +178,13 @@ def advice_opt(ladder: FareLadder, advice: Advice) -> float:
     )
 
 
-def conforms(advice: Advice, instance: Instance) -> bool:
-    """True when the instance realizes the advice: exact counts above the
-    lowest predicted class, at least the predicted count at it."""
-    counts = fare_counts(instance, advice.m)
-    ell = advice.lowest_index
-    if counts[ell - 1] < advice.counts[ell - 1]:
-        return False
-    return all(
-        counts[i] == advice.counts[i] for i in range(ell, advice.m)
-    )
-
-
-def conforms_relaxed(
-    advice: Advice, instance: Instance, params: ConformanceParams
-) -> bool:
-    """Relaxed conformance with multiplicative slack.
-
-    Requires ``count_i >= A_i / (1 + nu)`` for every class at or above the
-    lowest predicted one, and ``count_i <= (1 + mu) * A_i`` strictly above it.
-    """
-    counts = fare_counts(instance, advice.m)
-    ell = advice.lowest_index
-    for i in range(ell - 1, advice.m):
-        if counts[i] < advice.counts[i] / (1.0 + params.nu):
-            return False
-    for i in range(ell, advice.m):
-        if counts[i] > (1.0 + params.mu) * advice.counts[i]:
-            return False
-    return True
-
-
-def advice_distance(advice: Advice, instance: Instance) -> int:
-    """Count distance between an instance and the advice.
+def count_distance(advice: Advice, counts) -> np.ndarray:
+    """Count distance between instances, given by per-class counts (last
+    axis), and the advice.
 
     Shortfall at the lowest predicted class plus absolute count mismatch
-    above it; zero exactly on conforming instances.
+    above it; zero exactly on instances that realize the advice.
     """
-    return int(count_distance(advice, fare_counts(instance, advice.m)))
-
-
-def count_distance(advice: Advice, counts) -> np.ndarray:
-    """``advice_distance`` of instances given by per-class counts (last axis)."""
     counts = np.asarray(counts)
     predicted = np.asarray(advice.counts)
     ell = advice.lowest_index

@@ -52,7 +52,7 @@ def consistency_frontier(
 
     ``beta_lp`` takes one LP solve per gamma, without the tie-break of
     ``lp.solve_lp`` (which moves the plan, not beta), and its point must
-    violate no row or bound by more than 1e-9 (``lp.check_point``).
+    pass ``lp.verify``.
     """
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(ladder)
@@ -62,11 +62,7 @@ def consistency_frontier(
     for i, g in enumerate(gammas):
         model = lp.build_pareto_lp(ladder, advice, float(g))
         result = lp.solve_beta(model)
-        if result.status != "optimal":
-            raise RuntimeError(f"LP not optimal at gamma={g}: {result.status}")
-        violation = lp.check_point(model, result.x)
-        if not violation <= 1e-9:
-            raise RuntimeError(f"LP point at gamma={g} violates the model by {violation}")
+        lp.verify(model, result.status, result.x)
         beta_lp[i] = result.x[0]
         _, beta_pl[i] = protect.optimal_protection_levels(
             ladder, advice, float(g), epsilon

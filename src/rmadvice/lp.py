@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .simplex import SimplexResult, solve_simplex
+from .simplex import SimplexResult, SolverError, solve_simplex
 
 
 @dataclass
@@ -60,8 +60,7 @@ class LPSolution:
 
 def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) -> LPModel:
     """Assemble the LP for one (ladder, advice, gamma) triple."""
-    if gamma < 0.0 or gamma > core.bq_bound(ladder) + 1e-12:
-        raise ValueError("gamma must lie in [0, bq_bound(ladder)]")
+    core.check_gamma(ladder, gamma)
     m = ladder.m
     n = ladder.capacity
     scale = ladder.fares[-1]
@@ -139,6 +138,18 @@ def check_point(model: LPModel, point: np.ndarray) -> float:
     return 0.0 if worst <= 0.0 else float(worst)
 
 
+def verify(model: LPModel, status: str, point) -> float:
+    """Gate a point returned for the model: raise ``SolverError`` unless
+    the solve was optimal and ``check_point`` finds the point violating no
+    row or bound by more than 1e-9 (a NaN fails).  Returns the violation."""
+    if status != "optimal":
+        raise SolverError(f"LP not optimal at gamma={model.gamma}: {status}")
+    violation = check_point(model, point)
+    if not violation <= 1e-9:
+        raise SolverError(f"LP point at gamma={model.gamma} violates the model by {violation}")
+    return violation
+
+
 def solve_beta(model: LPModel) -> SimplexResult:
     """Maximize beta: the first solve of ``solve_lp``, without its tie-break."""
     return solve_simplex(
@@ -154,38 +165,30 @@ def solve_lp(model: LPModel) -> LPSolution:
     beta, and some leave fallback capacity unsold.  A second solve fixes
     beta at its optimum (within 1e-9) and maximizes the revenue-weighted
     fallback mass, so the policy derived from the solution keeps selling
-    after a switch whenever the constraints allow it.
+    after a switch whenever the constraints allow it.  The returned point
+    passes ``verify``, else ``SolverError`` is raised.
     """
     result = solve_beta(model)
     m = model.m
-    if result.status != "optimal":
-        return LPSolution(
-            status=result.status,
-            beta_star=np.nan,
-            x=np.full(m, np.nan),
-            y=np.full((m, m), np.nan),
-            gamma=model.gamma,
-            m=m,
-        )
     beta_star = float(result.x[0])
     point = result.x
-
-    nvars = model.rows.shape[1]
-    secondary = np.zeros(nvars)
-    secondary[1 + m :] = np.tile(model.scaled_fares, m)
-    floor_row = np.zeros(nvars)
-    floor_row[0] = 1.0
-    refined = solve_simplex(
-        secondary,
-        np.vstack([model.rows, floor_row]),
-        list(model.senses) + [">="],
-        np.append(model.rhs, beta_star - 1e-9),
-        upper=model.upper,
-        maximize=True,
-    )
-    if refined.status == "optimal":
-        point = refined.x
-
+    if result.status == "optimal":
+        nvars = model.rows.shape[1]
+        secondary = np.zeros(nvars)
+        secondary[1 + m :] = np.tile(model.scaled_fares, m)
+        floor_row = np.zeros(nvars)
+        floor_row[0] = 1.0
+        refined = solve_simplex(
+            secondary,
+            np.vstack([model.rows, floor_row]),
+            list(model.senses) + [">="],
+            np.append(model.rhs, beta_star - 1e-9),
+            upper=model.upper,
+            maximize=True,
+        )
+        if refined.status == "optimal":
+            point = refined.x
+    violation = verify(model, result.status, point)
     return LPSolution(
         status="optimal",
         beta_star=beta_star,
@@ -193,7 +196,7 @@ def solve_lp(model: LPModel) -> LPSolution:
         y=point[1 + m :].reshape(m, m).copy(),
         gamma=model.gamma,
         m=m,
-        max_violation=check_point(model, point),
+        max_violation=violation,
     )
 
 

@@ -10,22 +10,22 @@ permanently to one row of a fallback limit table chosen by a short
 dominance search.  A relaxed variant tolerates multiplicative advice error
 before switching.
 
-Arrivals in any order are replayed one request at a time.  On increasing
-block instances, given as per-class counts, both policies also have closed
-forms (``block_revenue``, ``switch_block_revenue``) costing O(m) work.
+Both policies replay arrivals in any order one request at a time
+(``kernels``).  On increasing block instances, given as per-class counts,
+they cost O(m) work: ``block_revenue`` is a closed form, and
+``switch_block_revenue`` runs the switching loop with one run per class.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, lp
-from .kernels import fallback_search, protection_run, switch_run
+from .kernels import _switch_runs, protection_run, switch_run
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,6 @@ def derive_switch_plan(solution: lp.LPSolution) -> SwitchPlan:
     Base limits are partial sums of ``x``; fallback row ``k`` caps classes
     at the phase-1 limit frozen at ``k`` plus partial sums of ``y(k)``.
     """
-    if solution.status != "optimal":
-        raise ValueError("switch plan requires an optimal LP solution")
     m = solution.m
     base = np.cumsum(solution.x)
     fallback = np.empty((m, m))
@@ -184,63 +182,23 @@ def _run_switch(
     )
 
 
-def switch_block_revenue(
-    ladder: core.FareLadder,
-    advice: core.Advice,
-    plan: SwitchPlan,
-    counts,
-    epsilon: float = 0.0,
-) -> float:
+def switch_block_revenue(ladder: core.FareLadder, advice: core.Advice, plan: SwitchPlan,
+                         counts, epsilon: float = 0.0) -> float:
     """Revenue of a switching policy on an increasing block instance.
 
     ``counts[j]`` arrivals of class ``j+1`` arrive in increasing fare order.
     ``epsilon = 0`` gives the policy of ``run_lp_optimal``, ``epsilon > 0``
-    that of ``run_relaxed_optimal``; on the same arrivals the result equals
-    theirs up to summation order.  The run collapses to a closed form: all
-    bookings so far lie in classes at or below the current block's, so every
-    cumulative count from its class up equals the seats ``Q`` sold so far,
-    and the block books ``min(eligible, max(0, limit - Q))``.  Above the
-    lowest advised class phase 1 books at most the advised count (later
-    arrivals trigger the strict policy and are capped by the relaxed one),
-    and the trigger fires in the first such block holding more than
-    ``(1 + epsilon)`` times its advised count, after the first
-    ``floor((1 + epsilon) A_p)`` of its arrivals.  The rest of the instance
-    books against the fallback row chosen there.
+    that of ``run_relaxed_optimal``; the run loop takes each block as one
+    run, so this costs O(m) work and equals their revenue on the same
+    arrivals up to summation order.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    fares = ladder.fares
-    mult = 1.0 + epsilon
-    ell0 = advice.lowest_index - 1
-    limit = _room_limits(plan.base)
-    booked = []  # seats sold after each block: cumulative bookings per class
-    sold = 0.0
-    rev = 0.0
-    for p in range(ladder.m):
-        c = counts[p]
-        a = advice.counts[p]
-        eligible = c if p <= ell0 else min(c, a)
-        take = min(eligible, max(0.0, limit[p] - sold))
-        rev += take * fares[p]
-        sold += take
-        if p > ell0 and c > mult * a:
-            q = booked + [sold] * (ladder.m - p)
-            _, k, _ = fallback_search(q, plan.base, plan.fallback, _eq_tol(ladder))
-            limit = _room_limits(plan.fallback[k])
-            rest = [c - math.floor(mult * a)] + list(counts[p + 1 :])
-            for j, arrivals in enumerate(rest, start=p):
-                take = min(arrivals, max(0.0, limit[j] - sold))
-                rev += take * fares[j]
-                sold += take
-            break
-        booked.append(sold)
-    return rev
-
-
-def _room_limits(levels) -> list[float]:
-    """Cumulative limit binding an arrival of each class: the smallest
-    level at or above it."""
-    return np.minimum.accumulate(np.asarray(levels)[::-1])[::-1].tolist()
+    return _switch_runs(
+        range(ladder.m), counts, ladder.fares, advice.counts, advice.lowest_index - 1,
+        plan.base.tolist(), plan.fallback.tolist(), 1.0 + epsilon, epsilon > 0.0,
+        _eq_tol(ladder),
+    )[-1]
 
 
 def run_lp_optimal(

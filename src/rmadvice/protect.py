@@ -125,9 +125,8 @@ def optimal_protection_levels(
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
+    core.check_gamma(ladder, gamma)
     bound = core.bq_bound(ladder)
-    if gamma < 0.0 or gamma > bound + 1e-12:
-        raise ValueError("gamma must lie in [0, bq_bound(ladder)]")
     terms = _advice_terms(ladder, advice)
     lo = bound
     if not grow_levels_for_beta(ladder, advice, gamma, lo, terms).feasible:

@@ -2,24 +2,27 @@
 
 Everything here is deliberately naive: vertex enumeration for LPs, an
 element-by-element simplex pivot, a row-by-row simplex tableau set-up, a
-numpy protection-level growing pass, a direct per-arrival replay for policies,
-the adversarial instance family built arrival by arrival, noisy
+numpy protection-level growing pass, direct per-arrival replays for
+policies (numpy-scalar step loops and the switching policy's block closed
+form), the adversarial instance family built arrival by arrival, noisy
 instances sampled one trial at a time, and a sort-and-sum offline optimum.
 Slow but obviously correct on the small cases the tests feed it.  The
-module also holds summaries of solver results that only tests need.
+module also holds summaries of solver results and the advice-conformance
+predicates that only tests need.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from rmadvice import core, lp, protect
 from rmadvice.core import Instance
 from rmadvice.kernels import simplex_iterate
-from rmadvice.policies import block_revenue
+from rmadvice.policies import _eq_tol, block_revenue
 from rmadvice.rng import CounterRng, derive_key
 from rmadvice.simplex import COST_TOL, PIVOT_TOL, SimplexResult, SolverError
 
@@ -159,6 +162,200 @@ def replay_protection(fares, levels, steps):
             q[k] += room
         revenue += room * fares[p]
     return revenue, q
+
+
+def reference_protection_run(fare_idx, levels):
+    """Reference protection-level run over numpy scalars, one arrival at a
+    time; same contract as ``kernels.protection_run``."""
+    m = levels.shape[0]
+    T = fare_idx.shape[0]
+    q = np.zeros(m)
+    w = np.zeros(T)
+    for t in range(T):
+        p = fare_idx[t]
+        room = 1.0
+        for k in range(p, m):
+            slack = levels[k] - q[k]
+            if slack < room:
+                room = slack
+        if room < 0.0:
+            room = 0.0
+        if room > 0.0:
+            for k in range(p, m):
+                q[k] += room
+        w[t] = room
+    return w, q
+
+
+def reference_fallback_search(q, base_levels, fallback_levels, eq_tol):
+    """Reference fallback-row search over numpy arrays; same contract as
+    ``kernels.fallback_search``."""
+    m = base_levels.shape[0]
+    s0 = 0
+    for j in range(m):
+        if base_levels[j] - q[j] <= eq_tol:
+            s0 = j
+    k = s0
+    iters = 0
+    while True:
+        bad = -1
+        for j in range(m):
+            if q[j] > fallback_levels[k, j] + eq_tol:
+                bad = j
+                break
+        if bad < 0:
+            break
+        k = bad
+        iters += 1
+        if iters > m:
+            break
+    return s0, k, iters
+
+
+def reference_switch_run(
+    fare_idx, advice_counts, ell0, base_levels, fallback_levels, trigger_mult, cap_phase1, eq_tol
+):
+    """Reference switching-policy run over numpy scalars, one arrival at a
+    time; same contract as ``kernels.switch_run``."""
+    m = advice_counts.shape[0]
+    T = fare_idx.shape[0]
+    q = np.zeros(m)
+    a = np.zeros(m)
+    w = np.zeros(T)
+    switched = False
+    tau = 0
+    s_row = 0
+    k_row = 0
+    search_iters = 0
+    for t in range(T):
+        p = fare_idx[t]
+        a[p] += 1.0
+        if (not switched) and p > ell0 and a[p] > trigger_mult * advice_counts[p]:
+            switched = True
+            tau = t + 1
+            s0, k, search_iters = reference_fallback_search(q, base_levels, fallback_levels, eq_tol)
+            s_row = s0 + 1
+            k_row = k + 1
+        if not switched:
+            if cap_phase1 != 0 and p > ell0 and a[p] > advice_counts[p]:
+                room = 0.0
+            else:
+                room = 1.0
+                for j in range(p, m):
+                    slack = base_levels[j] - q[j]
+                    if slack < room:
+                        room = slack
+        else:
+            room = 1.0
+            for j in range(p, m):
+                slack = fallback_levels[k_row - 1, j] - q[j]
+                if slack < room:
+                    room = slack
+        if room < 0.0:
+            room = 0.0
+        if room > 0.0:
+            for j in range(p, m):
+                q[j] += room
+        w[t] = room
+    return w, q, a, tau, s_row, k_row, search_iters
+
+
+def reference_switch_block_revenue(ladder, advice, plan, counts, epsilon=0.0):
+    """Reference closed form of the switching policy on an increasing block
+    instance (``counts[j]`` arrivals of class ``j+1``).
+
+    All bookings so far lie in classes at or below the current block's, so
+    every cumulative count from its class up equals the seats sold so far,
+    and the block books ``min(eligible, max(0, limit - sold))`` with
+    ``limit`` the smallest level at or above its class.  Above the lowest
+    advised class phase 1 books at most the advised count, and the trigger
+    fires in the first such block holding more than ``(1 + epsilon)`` times
+    its advised count, after the first ``floor((1 + epsilon) A_p)`` of its
+    arrivals; the rest books against the fallback row chosen there.
+    """
+    def room_limits(levels):
+        return np.minimum.accumulate(np.asarray(levels)[::-1])[::-1].tolist()
+
+    fares = ladder.fares
+    mult = 1.0 + epsilon
+    ell0 = advice.lowest_index - 1
+    limit = room_limits(plan.base)
+    booked = []
+    sold = 0.0
+    rev = 0.0
+    for p in range(ladder.m):
+        c = counts[p]
+        a = advice.counts[p]
+        eligible = c if p <= ell0 else min(c, a)
+        take = min(eligible, max(0.0, limit[p] - sold))
+        rev += take * fares[p]
+        sold += take
+        if p > ell0 and c > mult * a:
+            q = np.array(booked + [sold] * (ladder.m - p))
+            _, k, _ = reference_fallback_search(q, plan.base, plan.fallback, _eq_tol(ladder))
+            limit = room_limits(plan.fallback[k])
+            rest = [c - math.floor(mult * a)] + list(counts[p + 1 :])
+            for j, arrivals in enumerate(rest, start=p):
+                take = min(arrivals, max(0.0, limit[j] - sold))
+                rev += take * fares[j]
+                sold += take
+            break
+        booked.append(sold)
+    return rev
+
+
+@dataclass(frozen=True)
+class ConformanceParams:
+    """Multiplicative slack for relaxed advice conformance.
+
+    ``mu`` bounds count overshoot above the lowest predicted class and
+    ``nu`` bounds count undershoot at or above it.
+    """
+
+    mu: float
+    nu: float
+
+    def __post_init__(self):
+        if self.mu < 0.0 or self.nu < 0.0:
+            raise ValueError("conformance slack parameters must be nonnegative")
+
+
+def conforms(advice: core.Advice, instance: Instance) -> bool:
+    """True when the instance realizes the advice: exact counts above the
+    lowest predicted class, at least the predicted count at it."""
+    counts = core.fare_counts(instance, advice.m)
+    ell = advice.lowest_index
+    if counts[ell - 1] < advice.counts[ell - 1]:
+        return False
+    return all(
+        counts[i] == advice.counts[i] for i in range(ell, advice.m)
+    )
+
+
+def conforms_relaxed(
+    advice: core.Advice, instance: Instance, params: ConformanceParams
+) -> bool:
+    """Relaxed conformance with multiplicative slack.
+
+    Requires ``count_i >= A_i / (1 + nu)`` for every class at or above the
+    lowest predicted one, and ``count_i <= (1 + mu) * A_i`` strictly above it.
+    """
+    counts = core.fare_counts(instance, advice.m)
+    ell = advice.lowest_index
+    for i in range(ell - 1, advice.m):
+        if counts[i] < advice.counts[i] / (1.0 + params.nu):
+            return False
+    for i in range(ell, advice.m):
+        if counts[i] > (1.0 + params.mu) * advice.counts[i]:
+            return False
+    return True
+
+
+def advice_distance(advice: core.Advice, instance: Instance) -> int:
+    """Count distance between an instance and the advice
+    (``core.count_distance`` of its per-class counts); zero exactly on
+    conforming instances."""
+    return int(core.count_distance(advice, core.fare_counts(instance, advice.m)))
 
 
 def reference_simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):

@@ -18,6 +18,7 @@ from rmadvice.policies import (
 )
 from rmadvice.simplex import solve_simplex
 
+from . import oracles
 from .oracles import advice_instance, hard_instances, vertex_enumeration_lp
 from .test_simplex import random_feasible_lp
 
@@ -155,7 +156,7 @@ def test_criterion_07_relaxed_guarantees():
     gamma, eps, mu, nu = 0.3, 0.2, 0.1, 0.3
     sol = lp.optimal_consistency(lad, adv, gamma)
     plan = derive_switch_plan(sol)
-    params = core.ConformanceParams(mu=mu, nu=nu)
+    params = oracles.ConformanceParams(mu=mu, nu=nu)
     rng = np.random.default_rng(707)
 
     checked = 0
@@ -166,7 +167,7 @@ def test_criterion_07_relaxed_guarantees():
         steps = [i for i, cnt in enumerate(counts, start=1) for _ in range(cnt)]
         rng.shuffle(steps)
         inst = core.Instance(steps=tuple(steps))
-        if not core.conforms_relaxed(adv, inst, params):
+        if not oracles.conforms_relaxed(adv, inst, params):
             continue
         trace = run_relaxed_optimal(lad, adv, gamma, eps, inst, plan)
         opt = core.opt_revenue(lad, inst)

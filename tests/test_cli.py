@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rmadvice import experiments, lp
 from rmadvice.cli import main
+from rmadvice.simplex import SimplexResult
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -95,6 +97,17 @@ class TestExitCodes:
         monkeypatch.setattr(lp, "check_point", lambda model, point: 1.0)
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
         assert main(["frontier", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "robustness", "solve-lp", "frontier"])
+    def test_non_optimal_lp_is_numerical_failure(self, tmp_path, capsys, monkeypatch, command):
+        def infeasible(model):
+            nvars = model.rows.shape[1]
+            return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
+
+        monkeypatch.setattr(lp, "solve_beta", infeasible)
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[3] * 12))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
     def test_robustness_bound_error_is_numerical_failure(self, tmp_path, capsys, monkeypatch):

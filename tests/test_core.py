@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rmadvice import core
 
+from . import oracles
 from .oracles import hard_instances, reference_opt
 
 # Fixed example sequence, no example database: tier-1 stays deterministic.
@@ -229,8 +230,8 @@ class TestConstructions:
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
         prefix, _ = core.hard_counts(lad, adv)
-        assert core.conforms(adv, from_counts(prefix[2]))
-        assert not core.conforms(adv, from_counts(prefix[1]))
+        assert oracles.conforms(adv, from_counts(prefix[2]))
+        assert not oracles.conforms(adv, from_counts(prefix[1]))
 
 
 class TestConformance:
@@ -238,41 +239,41 @@ class TestConformance:
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
         inst = core.make_instance(lad, [2, 3, 3])
-        assert core.conforms(adv, inst)
+        assert oracles.conforms(adv, inst)
 
     def test_extra_lowest_class_still_conforms(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
         inst = core.make_instance(lad, [2, 2, 2, 3, 3, 1])
-        assert core.conforms(adv, inst)
+        assert oracles.conforms(adv, inst)
 
     def test_excess_above_lowest_breaks_conformance(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
         inst = core.make_instance(lad, [2, 3, 3, 3])
-        assert not core.conforms(adv, inst)
+        assert not oracles.conforms(adv, inst)
 
     def test_relaxed_widens_exact(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 10)
         adv = core.make_advice(lad, [0, 4, 6])
-        params = core.ConformanceParams(mu=0.5, nu=0.5)
+        params = oracles.ConformanceParams(mu=0.5, nu=0.5)
         inst = core.make_instance(lad, [2] * 3 + [3] * 7)  # undershoot 4->3, over 6->7
-        assert not core.conforms(adv, inst)
-        assert core.conforms_relaxed(adv, inst, params)
+        assert not oracles.conforms(adv, inst)
+        assert oracles.conforms_relaxed(adv, inst, params)
 
     def test_relaxed_params_validated(self):
         with pytest.raises(ValueError):
-            core.ConformanceParams(mu=-0.1, nu=0.0)
+            oracles.ConformanceParams(mu=-0.1, nu=0.0)
 
     def test_zero_slack_matches_exact_on_random_instances(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 6)
         adv = core.make_advice(lad, [0, 2, 4])
-        params = core.ConformanceParams(mu=0.0, nu=0.0)
+        params = oracles.ConformanceParams(mu=0.0, nu=0.0)
         rng = np.random.default_rng(11)
         for _ in range(200):
             inst = core.Instance(steps=tuple(rng.integers(1, 4, size=rng.integers(0, 15))))
-            exact = core.conforms(adv, inst)
-            relaxed = core.conforms_relaxed(adv, inst, params)
+            exact = oracles.conforms(adv, inst)
+            relaxed = oracles.conforms_relaxed(adv, inst, params)
             # exact conformance never requires more than zero-slack relaxed.
             assert relaxed or not exact
 
@@ -281,16 +282,16 @@ class TestAdviceDistance:
     def test_zero_on_conforming(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
-        assert core.advice_distance(adv, from_counts(adv.cap_counts)) == 0
+        assert oracles.advice_distance(adv, from_counts(adv.cap_counts)) == 0
 
     def test_counts_mismatch(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
         inst = core.make_instance(lad, [3, 3, 3])  # class 2 short by 1, class 3 over by 1
-        assert core.advice_distance(adv, inst) == 2
+        assert oracles.advice_distance(adv, inst) == 2
 
     def test_surplus_at_lowest_class_is_free(self):
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 3)
         adv = core.make_advice(lad, [0, 1, 2])
         inst = core.make_instance(lad, [2, 2, 2, 3, 3])
-        assert core.advice_distance(adv, inst) == 0
+        assert oracles.advice_distance(adv, inst) == 0

@@ -64,6 +64,11 @@ class TestModelShape:
         with pytest.raises(ValueError):
             lp.build_pareto_lp(lad, adv, -0.1)
 
+    def test_nan_gamma_rejected(self):
+        lad, adv = tiny()
+        with pytest.raises(ValueError):
+            lp.optimal_consistency(lad, adv, float("nan"))
+
     def test_capacity_row_hand_check(self):
         # [DERIVED] k=1 capacity row: x_1 + y(1)_1 + y(1)_2 <= n.
         lad, adv = tiny()

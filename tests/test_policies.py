@@ -1,14 +1,18 @@
 """Booking policies: protection levels, switching policy, relaxed variant."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, lp
+from rmadvice import core, kernels, lp
 from rmadvice.policies import (
     ProtectionLevels,
     SwitchPlan,
+    _eq_tol,
     bq_levels,
     block_revenue,
     derive_switch_plan,
@@ -19,7 +23,17 @@ from rmadvice.policies import (
     trace_to_csv,
 )
 
-from .oracles import advice_instance, hard_instances, replay_protection, rounding_report
+from . import oracles
+from .oracles import (
+    advice_instance,
+    hard_instances,
+    reference_protection_run,
+    reference_switch_block_revenue,
+    reference_switch_run,
+    replay_protection,
+    rounding_report,
+    same_bits,
+)
 
 
 class TestProtectionPolicy:
@@ -156,7 +170,7 @@ class TestSwitchingPolicy:
         for _ in range(100):
             rng.shuffle(steps)
             inst = core.Instance(steps=tuple(steps))
-            assert core.conforms(adv, inst)
+            assert oracles.conforms(adv, inst)
             trace = run_lp_optimal(lad, adv, g, inst, plan)
             assert trace.revenue >= sol.beta_star * opt_a - 1e-6 * opt_a
 
@@ -307,7 +321,7 @@ class TestRelaxedPolicy:
         g, eps, mu, nu = 0.3, 0.2, 0.1, 0.3
         sol = lp.optimal_consistency(lad, adv, g)
         plan = derive_switch_plan(sol)
-        params = core.ConformanceParams(mu=mu, nu=nu)
+        params = oracles.ConformanceParams(mu=mu, nu=nu)
         rng = np.random.default_rng(61)
         checked = 0
         while checked < 200:
@@ -319,7 +333,7 @@ class TestRelaxedPolicy:
             steps = [i for i, cnt in enumerate(counts, start=1) for _ in range(cnt)]
             rng.shuffle(steps)
             inst = core.Instance(steps=tuple(steps))
-            if not core.conforms_relaxed(adv, inst, params):
+            if not oracles.conforms_relaxed(adv, inst, params):
                 continue
             trace = run_relaxed_optimal(lad, adv, g, eps, inst, plan)
             opt = core.opt_revenue(lad, inst)
@@ -381,6 +395,121 @@ def block_cases(draw):
     return lad, adv, counts
 
 
+def draw_plan(data, lad, adv):
+    """The LP plan at a drawn gamma, or the plan of an arbitrary (x, y)."""
+    m, n = lad.m, lad.capacity
+    if data.draw(st.booleans(), label="lp_plan"):
+        gamma = data.draw(st.floats(0.0, core.bq_bound(lad)), label="gamma")
+        return derive_switch_plan(lp.optimal_consistency(lad, adv, gamma))
+    x = data.draw(st.lists(st.floats(0.0, n / 2), min_size=m, max_size=m), label="x")
+    y = data.draw(st.lists(st.floats(0.0, n / 2), min_size=m * m, max_size=m * m), label="y")
+    return plan_from(x, y)
+
+
+# An infinite slack never triggers.
+EPSILONS = st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0, math.inf])
+
+
+def switch_args(lad, adv, plan, epsilon, steps):
+    """``kernels.switch_run`` arguments of the policy ``step_revenue`` runs."""
+    return (np.array(steps, dtype=np.int64), np.asarray(adv.counts, dtype=float),
+            adv.lowest_index - 1, plan.base, plan.fallback, 1.0 + epsilon,
+            1 if epsilon > 0.0 else 0, _eq_tol(lad))
+
+
+# Fewer examples than PROPERTY: each draws a plan and a whole sequence.
+RUNS_PROPERTY = settings(PROPERTY, max_examples=100)
+
+
+class TestRunLoop:
+    """The list-based run loop against the numpy-scalar step loops it
+    replaced (bit for bit), and runs longer than one arrival against the
+    step replay of their expansion."""
+
+    @RUNS_PROPERTY
+    @given(block_cases(), st.data())
+    def test_switch_step_path_matches_reference_bitwise(self, case, data):
+        lad, adv, _ = case
+        plan = draw_plan(data, lad, adv)
+        epsilon = data.draw(EPSILONS, label="epsilon")
+        steps = data.draw(st.lists(st.integers(0, lad.m - 1), max_size=40), label="steps")
+        args = switch_args(lad, adv, plan, epsilon, steps)
+        got = kernels.switch_run(*args)
+        # The numpy-scalar reference warns on inf * 0 (infinite slack, A_p = 0).
+        with np.errstate(invalid="ignore"):
+            want = reference_switch_run(*args)
+        for a, b in zip(got[:3], want[:3]):
+            assert same_bits(a, b)
+        # trigger step, start and chosen rows, search moves: equal ints
+        assert got[3:] == want[3:] and all(type(v) is int for v in got[3:])
+
+    @RUNS_PROPERTY
+    @given(block_cases(), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           st.lists(st.integers(0, 4), max_size=40))
+    def test_protection_step_path_matches_reference_bitwise(self, case, shares, steps):
+        lad, _, _ = case
+        levels = np.cumsum(shares[: lad.m])
+        levels *= lad.capacity / max(levels[-1], 1.0)
+        fare_idx = np.array([p % lad.m for p in steps], dtype=np.int64)
+        for a, b in zip(kernels.protection_run(fare_idx, levels),
+                        reference_protection_run(fare_idx, levels)):
+            assert same_bits(a, b)
+
+    @RUNS_PROPERTY
+    @given(block_cases(), st.data())
+    def test_runs_match_step_replay_of_expansion(self, case, data):
+        lad, adv, _ = case
+        plan = draw_plan(data, lad, adv)
+        epsilon = data.draw(EPSILONS, label="epsilon")
+        runs = data.draw(
+            st.lists(st.tuples(st.integers(0, lad.m - 1), st.integers(1, 6)), max_size=12),
+            label="runs",
+        )
+        steps = [p for p, c in runs for _ in range(c)]
+        encoded = [(p, len(list(g))) for p, g in itertools.groupby(steps)]
+        booked, q, seen, tau, _, k_row, _, revenue = kernels._switch_runs(
+            [p for p, _ in encoded], [c for _, c in encoded], lad.fares, adv.counts,
+            adv.lowest_index - 1, plan.base.tolist(), plan.fallback.tolist(),
+            1.0 + epsilon, epsilon > 0.0, _eq_tol(lad),
+        )
+        trace = step_revenue(lad, adv, plan, epsilon, core.Instance(tuple(p + 1 for p in steps)))
+        assert_close(revenue, trace.revenue)
+        ends = np.cumsum([c for _, c in encoded], dtype=int)
+        for take, stop, (_, c) in zip(booked, ends, encoded):
+            assert_close(take, float(np.sum(trace.accepted[stop - c : stop])))
+        for a, b in zip(q, trace.q):
+            assert_close(a, b)
+        assert seen == trace.arrivals.tolist()
+        assert tau == (trace.trigger_time or 0)
+        assert k_row == (trace.chosen_k or 0)
+
+    def test_trigger_arrival_keeps_negative_zero(self):
+        # [DERIVED] A_2 = 0, so the first class-2 arrival triggers with
+        # nothing booked; the chosen row holds -0.0, so the slack is
+        # -0.0 - 0.0 = -0.0 and the step books -0.0, as the reference does.
+        args = (np.array([1]), np.array([2.0, 0.0]), 0, np.zeros(2), np.full((2, 2), -0.0),
+                1.0, 0, 1e-9)
+        got, want = kernels.switch_run(*args), reference_switch_run(*args)
+        assert want[0].tobytes() == np.array([-0.0]).tobytes()
+        for a, b in zip(got[:3], want[:3]):
+            assert same_bits(a, b)
+
+    def test_row_below_bookings_books_nothing(self):
+        # [DERIVED] phase 1 sells 5 + 5 seats, filling base (5, 10); the
+        # 6th class-2 arrival triggers, and the fallback rows sit 1e-12
+        # below q, inside the search's tolerance.  The slack is negative,
+        # so the arrival books 0, not -1e-12: revenue stays 5 + 2 * 5.
+        lad = core.make_fare_ladder([1.0, 2.0], 10)
+        adv = core.make_advice(lad, [5, 5])
+        plan = SwitchPlan(base=np.array([5.0, 10.0]), fallback=np.full((2, 2), 10.0 - 1e-12))
+        plan.fallback[:, 0] = 5.0
+        trace = run_lp_optimal(lad, adv, 0.0, block_steps([5, 6]), plan)
+        assert trace.trigger_time == 11 and trace.chosen_k == 2
+        assert same_bits(trace.accepted[-1], 0.0)
+        assert trace.revenue == 15.0
+        assert switch_block_revenue(lad, adv, plan, [5, 6]) == 15.0
+
+
 class TestBlockClosedForms:
     """Closed forms on increasing block counts against the step runners."""
 
@@ -388,18 +517,12 @@ class TestBlockClosedForms:
     @given(block_cases(), st.data())
     def test_switching_matches_step_runner(self, case, data):
         lad, adv, counts = case
-        m, n = lad.m, lad.capacity
-        if data.draw(st.booleans(), label="lp_plan"):
-            gamma = data.draw(st.floats(0.0, core.bq_bound(lad)), label="gamma")
-            plan = derive_switch_plan(lp.optimal_consistency(lad, adv, gamma))
-        else:
-            x = data.draw(st.lists(st.floats(0.0, n / 2), min_size=m, max_size=m), label="x")
-            y = data.draw(st.lists(st.floats(0.0, n / 2), min_size=m * m, max_size=m * m),
-                          label="y")
-            plan = plan_from(x, y)
-        epsilon = data.draw(st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0]), label="epsilon")
+        plan = draw_plan(data, lad, adv)
+        epsilon = data.draw(EPSILONS, label="epsilon")
+        closed = switch_block_revenue(lad, adv, plan, counts, epsilon)
+        assert same_bits(closed, reference_switch_block_revenue(lad, adv, plan, counts, epsilon))
         stepped = step_revenue(lad, adv, plan, epsilon, block_steps(counts)).revenue
-        assert_close(switch_block_revenue(lad, adv, plan, counts, epsilon), stepped)
+        assert_close(closed, stepped)
 
     @PROPERTY
     @given(block_cases(), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
@@ -449,7 +572,9 @@ class TestBlockClosedForms:
         phase1 = np.arange(1, len(acc) + 1) < (tau or np.inf)
         assert capped == bool(np.any(phase1 & (acc == 0.0) & (room > 0.0)))
         assert partial == bool(np.any((acc > 0.0) & (acc < 1.0)))
-        assert_close(switch_block_revenue(lad, adv, plan, counts, epsilon), trace.revenue)
+        closed = switch_block_revenue(lad, adv, plan, counts, epsilon)
+        assert same_bits(closed, reference_switch_block_revenue(lad, adv, plan, counts, epsilon))
+        assert_close(closed, trace.revenue)
 
     def test_negative_epsilon_rejected(self):
         lad = core.make_fare_ladder([1.0, 2.0], 2)

@@ -189,6 +189,11 @@ class TestBinarySearch:
         with pytest.raises(ValueError):
             protect.optimal_protection_levels(lad, adv, 0.9)
 
+    def test_nan_gamma_rejected(self):
+        lad, adv = tiny()
+        with pytest.raises(ValueError):
+            protect.optimal_protection_levels(lad, adv, float("nan"))
+
 
 class TestGuarantees:
     def test_levels_competitive_on_hard_and_random_instances(self):
