@@ -57,7 +57,7 @@ def _ladder(cfg: dict) -> core.FareLadder:
 def _advice(cfg: dict, ladder: core.FareLadder) -> core.Advice:
     try:
         return core.make_advice(ladder, _require(cfg, "advice"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -151,7 +151,7 @@ def cmd_simulate(cfg: dict, out: Path, args) -> None:
     advice = _advice(cfg, ladder)
     try:
         instance = core.make_instance(ladder, _require(cfg, "instance"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     policy = cfg.get("policy", "lp_optimal")
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
@@ -228,7 +228,7 @@ def cmd_robustness(cfg: dict, out: Path, args) -> None:
         advice_lists = [_require(cfg, "advice")]
     try:
         advices = [core.make_advice(ladder, a) for a in advice_lists]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     noise_cfg = cfg.get("noise", {})
     if not isinstance(noise_cfg, dict):

@@ -85,17 +85,25 @@ def make_fare_ladder(fares, capacity: int) -> FareLadder:
     for lo, hi in zip(fares, fares[1:]):
         if hi <= lo:
             raise ValueError("fares must be strictly increasing")
-    try:
-        whole = not isinstance(capacity, bool) and int(capacity) == capacity
-    except (OverflowError, TypeError, ValueError):
-        whole = False
-    if not whole or capacity < 1:
+    if not _is_whole(capacity) or capacity < 1:
         raise ValueError("capacity must be a positive integer")
     return FareLadder(fares=fares, capacity=int(capacity))
 
 
+def _is_whole(value) -> bool:
+    """True for a whole number other than a ``bool``: ``3`` and ``3.0``,
+    not ``2.7``, ``True``, ``nan`` or ``"3"``."""
+    try:
+        return not isinstance(value, bool) and int(value) == value
+    except (OverflowError, TypeError, ValueError):
+        return False
+
+
 def make_advice(ladder: FareLadder, counts) -> Advice:
     """Validate and build an advice vector for a ladder."""
+    counts = tuple(counts)
+    if not all(_is_whole(a) for a in counts):
+        raise ValueError("advice counts must be whole numbers")
     counts = tuple(int(a) for a in counts)
     if len(counts) != ladder.m:
         raise ValueError("advice length must equal the number of fare classes")
@@ -108,6 +116,9 @@ def make_advice(ladder: FareLadder, counts) -> Advice:
 
 def make_instance(ladder: FareLadder, steps) -> Instance:
     """Validate and build an arrival sequence of fare-class indices."""
+    steps = tuple(steps)
+    if not all(_is_whole(s) for s in steps):
+        raise ValueError("instance steps must be whole numbers")
     steps = tuple(int(s) for s in steps)
     if any(s < 1 or s > ladder.m for s in steps):
         raise ValueError("instance steps must be 1-based fare-class indices")

@@ -25,6 +25,7 @@ from .policies import (
     block_revenue,
     bq_levels,
     derive_switch_plan,
+    levels_consistency,
     switch_block_revenue,
 )
 from .rng import CounterRng, derive_key
@@ -164,22 +165,19 @@ def _realized_ratios(
 
     ``setup`` comes from ``_policy_setup``.  Each row is an increasing
     block instance (as from ``sample_counts``), so every policy runs in
-    closed form on its counts.  A row whose optimum is zero scores 1.
-    With ``check_bound`` the robustness bound is asserted on every row for
-    the protection-level policies.
+    closed form on the whole count array.  A row whose optimum is zero
+    scores 1.  With ``check_bound`` the robustness bound is asserted on
+    every row for the protection-level policies.
     """
-    rows = counts.tolist()
     if policy in ("lp_optimal", "lp_relaxed"):
         plan, eps = setup
-        revenue = [switch_block_revenue(ladder, advice, plan, r, eps) for r in rows]
+        revenue = switch_block_revenue(ladder, advice, plan, counts, eps)
     else:
-        revenue = [block_revenue(ladder.fares, setup.levels, r) for r in rows]
+        revenue = block_revenue(ladder.fares, setup.levels, counts)
     opt = core.count_opt(ladder, counts)
-    ratios = np.divide(revenue, opt, out=np.ones(len(rows)), where=opt > 0.0)
+    ratios = np.divide(revenue, opt, out=np.ones(len(counts)), where=opt > 0.0)
     if check_bound and policy in ("optimal_pl", "bq"):
-        consistency = block_revenue(
-            ladder.fares, setup.levels, advice.cap_counts
-        ) / core.advice_opt(ladder, advice)
+        consistency = levels_consistency(ladder, advice, setup)
         check_robustness_bound(ladder, advice, consistency, ratios, counts)
     return ratios
 
@@ -199,7 +197,6 @@ def robustness_sweep(
     seed: int,
     policies=POLICIES,
     epsilon: float = 1e-6,
-    check_bound: bool = True,
 ) -> list[SweepRow]:
     """Grid of mean realized ratios over (advice, noise level, gamma, policy).
 
@@ -207,7 +204,8 @@ def robustness_sweep(
     across gammas and policies, so curves are compared on common draws; the
     per-cell seed is derived from the top seed and the (advice, noise)
     indices.  Each (advice, gamma, policy) sets up its plan or levels once
-    for all noise levels.
+    for all noise levels.  The robustness bound is checked on every trial
+    of the protection-level policies.
     """
     rows: list[SweepRow] = []
     for ai, advice in enumerate(advices):
@@ -222,9 +220,9 @@ def robustness_sweep(
             counts = sample_counts(ladder, advice, noise)
             for gamma, gamma_setups in zip(gammas, setups):
                 for policy, setup in zip(policies, gamma_setups):
-                    mean, std = _mean_std(_realized_ratios(
-                        ladder, advice, policy, setup, counts, check_bound
-                    ))
+                    mean, std = _mean_std(
+                        _realized_ratios(ladder, advice, policy, setup, counts)
+                    )
                     rows.append(
                         SweepRow(
                             v=float(v), gamma=float(gamma), policy=policy,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, lp, protect
+from .policies import bq_levels, levels_consistency
 
 
 @dataclass
@@ -31,15 +32,6 @@ def default_gamma_grid(ladder: core.FareLadder, points: int = 41) -> np.ndarray:
     if points < 2:
         raise ValueError("grid needs at least two points")
     return np.linspace(0.0, core.bq_bound(ladder), points)
-
-
-def _bq_consistency(ladder: core.FareLadder, advice: core.Advice) -> float:
-    from .policies import bq_levels, block_revenue  # local to avoid cycle
-
-    levels = np.asarray(bq_levels(ladder).levels)
-    return block_revenue(ladder.fares, levels, advice.cap_counts) / core.advice_opt(
-        ladder, advice
-    )
 
 
 def consistency_frontier(
@@ -71,7 +63,7 @@ def consistency_frontier(
         gammas=gammas,
         beta_lp=beta_lp,
         beta_pl=beta_pl,
-        bq_consistency=_bq_consistency(ladder, advice),
+        bq_consistency=levels_consistency(ladder, advice, bq_levels(ladder)),
     )
 
 

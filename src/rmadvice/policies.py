@@ -12,8 +12,9 @@ before switching.
 
 Both policies replay arrivals in any order one request at a time
 (``kernels``).  On increasing block instances, given as per-class counts,
-they cost O(m) work: ``block_revenue`` is a closed form, and
-``switch_block_revenue`` runs the switching loop with one run per class.
+they cost O(m) work: ``block_revenue`` is a closed form over count
+arrays, and ``switch_block_revenue`` runs the switching loop with one run
+per class on each count row.
 """
 
 from __future__ import annotations
@@ -93,21 +94,29 @@ def bq_levels(ladder: core.FareLadder) -> ProtectionLevels:
     return ProtectionLevels(levels=tuple(levels))
 
 
-def block_revenue(fares, levels, counts) -> float:
-    """Revenue of a protection-level policy on an increasing block instance.
+def block_revenue(fares, levels, counts):
+    """Revenue of a protection-level policy on increasing block instances.
 
-    ``counts[j]`` arrivals of class ``j+1`` arrive in increasing fare order;
-    the policy then fills each block up to its cumulative limit, so the run
-    collapses to a closed form.  No feasibility check is applied, which lets
-    partially built level vectors be evaluated.
+    ``counts[..., j]`` arrivals of class ``j+1`` arrive in increasing fare
+    order; the policy then fills each block up to its cumulative limit, so
+    the run collapses to a closed form, evaluated over the last axis of
+    ``counts`` like ``core.count_opt``.  No feasibility check is applied,
+    which lets partially built level vectors be evaluated.
     """
-    q = 0.0
-    rev = 0.0
-    for j in range(len(fares)):
-        take = min(float(counts[j]), max(0.0, levels[j] - q))
-        rev += take * fares[j]
+    counts = np.asarray(counts, dtype=float)
+    q = rev = 0.0
+    for j, f in enumerate(fares):
+        take = np.minimum(counts[..., j], np.maximum(levels[j] - q, 0.0))
+        rev += take * f
         q += take
     return rev
+
+
+def levels_consistency(ladder: core.FareLadder, advice: core.Advice, levels) -> float:
+    """Consistency of static ``ProtectionLevels``: their revenue share on
+    the advice instance."""
+    revenue = block_revenue(ladder.fares, levels.levels, advice.cap_counts)
+    return float(revenue / core.advice_opt(ladder, advice))
 
 
 def run_protection_policy(
@@ -183,22 +192,24 @@ def _run_switch(
 
 
 def switch_block_revenue(ladder: core.FareLadder, advice: core.Advice, plan: SwitchPlan,
-                         counts, epsilon: float = 0.0) -> float:
-    """Revenue of a switching policy on an increasing block instance.
+                         counts, epsilon: float = 0.0):
+    """Revenue of a switching policy on increasing block instances.
 
-    ``counts[j]`` arrivals of class ``j+1`` arrive in increasing fare order.
-    ``epsilon = 0`` gives the policy of ``run_lp_optimal``, ``epsilon > 0``
-    that of ``run_relaxed_optimal``; the run loop takes each block as one
-    run, so this costs O(m) work and equals their revenue on the same
+    ``counts[..., j]`` arrivals of class ``j+1`` arrive in increasing fare
+    order; one revenue per instance along the last axis.  ``epsilon = 0``
+    gives the policy of ``run_lp_optimal``, ``epsilon > 0`` that of
+    ``run_relaxed_optimal``; the run loop takes each block as one run, so
+    each instance costs O(m) work and equals their revenue on the same
     arrivals up to summation order.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    return _switch_runs(
-        range(ladder.m), counts, ladder.fares, advice.counts, advice.lowest_index - 1,
-        plan.base.tolist(), plan.fallback.tolist(), 1.0 + epsilon, epsilon > 0.0,
-        _eq_tol(ladder),
-    )[-1]
+    counts = np.asarray(counts)
+    inputs = (ladder.fares, advice.counts, advice.lowest_index - 1, plan.base.tolist(),
+              plan.fallback.tolist(), 1.0 + epsilon, epsilon > 0.0, _eq_tol(ladder))
+    revenue = [_switch_runs(range(ladder.m), row, *inputs)[-1]
+               for row in counts.reshape(-1, ladder.m).tolist()]
+    return np.array(revenue).reshape(counts.shape[:-1])[()]  # a scalar for one row
 
 
 def run_lp_optimal(

@@ -7,6 +7,11 @@ minimal increments that (a) keep the policy ``gamma``-competitive on every
 all-fares block instance and (b) reach a target consistency ``beta`` on the
 advice-shaped instance; a binary search then finds the largest feasible
 ``beta`` (levels fitting within capacity).
+
+The pass is the greedy water-filling of the paper's lemma.  Each class
+fills on top of the classes below it, so the pass keeps two running
+fills, one for the all-fares blocks and one for the advice prefix, and
+costs O(m) per pass.
 """
 
 from __future__ import annotations
@@ -46,67 +51,47 @@ def grow_levels_for_beta(
     the per-advice inputs (``_advice_terms``) across the passes of one
     search; they are computed here when omitted.
     """
-    n = ladder.capacity
-    fares = ladder.fares
-    prefix, blocks, opt_advice, tails = (
-        _advice_terms(ladder, advice) if terms is None else terms
-    )
+    n = float(ladder.capacity)
+    caps, opt_advice, tails = _advice_terms(ladder, advice) if terms is None else terms
     goal = beta * opt_advice
-    levels: list[float] = []
-    comp_inc: list[float] = []
-    cons_inc: list[float] = []
-    for k, fk in enumerate(fares):
-        # Classes from k up share one level while class k is grown; the
-        # revenues are ``block_revenue`` on the levels so far, inlined.
-        level = levels[-1] if k else 0.0
-        have = 0.0
-        if k:
-            q = 0.0
-            for j, c in enumerate(blocks[k - 1]):
-                take = min(float(c), max(0.0, (levels[j] if j < k else level) - q))
-                have += take * fares[j]
-                q += take
-        target = gamma * n * fk  # offline optimum of the block instance
-        comp = max(0.0, (target - have) / fk)
+    # Running fills of the classes below k at their final levels:
+    # ``have``/``q`` on the all-fares block (n seats per class),
+    # ``have_advice``/``q_advice`` on the advice prefix (the caps).
+    have = q = have_advice = q_advice = level = 0.0
+    grown = []  # (level, competitive, consistency increment) per class
+    for fk, cap, tail in zip(ladder.fares, caps, tails):
+        # gamma * n * fk is gamma times the block instance's offline optimum.
+        comp = max(0.0, (gamma * n * fk - have) / fk)
         level += comp
-
-        have_advice = 0.0
-        q = 0.0
-        for j, c in enumerate(prefix[k]):
-            take = min(float(c), max(0.0, (levels[j] if j < k else level) - q))
-            have_advice += take * fares[j]
-            q += take
+        reach = have_advice + min(cap, max(0.0, level - q_advice)) * fk
         cons = 0.0
-        if have_advice + tails[k] < goal:
-            cons = (goal - have_advice - tails[k]) / fk
+        if reach + tail < goal:
+            cons = (goal - reach - tail) / fk
             level += cons
-        levels.append(level)
-        comp_inc.append(comp)
-        cons_inc.append(cons)
-
-    feasible = bool(levels[-1] <= n + 1e-9 * max(1.0, n))
+        grown.append((level, comp, cons))
+        take = min(n, max(0.0, level - q))
+        have += take * fk
+        q += take
+        take = min(cap, max(0.0, level - q_advice))
+        have_advice += take * fk
+        q_advice += take
+    levels, comp_inc, cons_inc = zip(*grown)
     return LevelsCandidate(
-        levels=tuple(levels),
-        competitive_increments=tuple(comp_inc),
-        consistency_increments=tuple(cons_inc),
-        feasible=feasible,
+        levels=levels,
+        competitive_increments=comp_inc,
+        consistency_increments=cons_inc,
+        feasible=bool(level <= n + 1e-9 * max(1.0, n)),  # top level fits
     )
 
 
 def _advice_terms(ladder: core.FareLadder, advice: core.Advice) -> tuple:
-    """What the growing pass needs of an advice, whatever gamma and beta.
-
-    The rows of ``core.hard_counts`` (prefixes, then blocks), the advice
-    revenue, and per class ``k`` the revenue of the advised caps above it.
-    """
-    prefix, blocks = core.hard_counts(ladder, advice)
-    caps = advice.cap_counts
-    fares = ladder.fares
-    tails = [
-        sum(caps[i] * fares[i] for i in range(k, ladder.m))
-        for k in range(1, ladder.m + 1)
-    ]
-    return prefix.tolist(), blocks.tolist(), core.advice_opt(ladder, advice), tails
+    """What the growing pass needs of an advice, whatever gamma and beta:
+    its acceptance caps, its revenue, and per class ``k`` the revenue of
+    the advised caps above ``k``."""
+    caps = [float(c) for c in advice.cap_counts]
+    priced = list(zip(caps, ladder.fares))
+    tails = [sum(c * f for c, f in priced[k:]) for k in range(1, ladder.m + 1)]
+    return caps, core.advice_opt(ladder, advice), tails
 
 
 def optimal_protection_levels(
@@ -129,18 +114,19 @@ def optimal_protection_levels(
     bound = core.bq_bound(ladder)
     terms = _advice_terms(ladder, advice)
     lo = bound
-    if not grow_levels_for_beta(ladder, advice, gamma, lo, terms).feasible:
+    candidate = grow_levels_for_beta(ladder, advice, gamma, lo, terms)
+    if not candidate.feasible:
         raise RuntimeError("growing pass infeasible at the worst-case bound")
     hi = 1.0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # no double left between the endpoints
             break
-        if grow_levels_for_beta(ladder, advice, gamma, mid, terms).feasible:
-            lo = mid
+        trial = grow_levels_for_beta(ladder, advice, gamma, mid, terms)
+        if trial.feasible:
+            lo, candidate = mid, trial
         else:
             hi = mid
-    candidate = grow_levels_for_beta(ladder, advice, gamma, lo, terms)
     n = float(ladder.capacity)
     levels = tuple(min(v, n) for v in candidate.levels)
     return ProtectionLevels(levels=levels), lo

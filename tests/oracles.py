@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: vertex enumeration for LPs, an
 element-by-element simplex pivot, a row-by-row simplex tableau set-up, a
-numpy protection-level growing pass, direct per-arrival replays for
-policies (numpy-scalar step loops and the switching policy's block closed
-form), the adversarial instance family built arrival by arrival, noisy
-instances sampled one trial at a time, and a sort-and-sum offline optimum.
+numpy protection-level growing pass that refills every hard-family row,
+per-row block closed forms, direct per-arrival replays for policies
+(numpy-scalar step loops and the switching policy's block closed form),
+the adversarial instance family built arrival by arrival, noisy instances
+sampled one trial at a time, and a sort-and-sum offline optimum.
 Slow but obviously correct on the small cases the tests feed it.  The
 module also holds summaries of solver results and the advice-conformance
 predicates that only tests need.
@@ -22,7 +23,7 @@ import numpy as np
 from rmadvice import core, lp, protect
 from rmadvice.core import Instance
 from rmadvice.kernels import simplex_iterate
-from rmadvice.policies import _eq_tol, block_revenue
+from rmadvice.policies import _eq_tol
 from rmadvice.rng import CounterRng, derive_key
 from rmadvice.simplex import COST_TOL, PIVOT_TOL, SimplexResult, SolverError
 
@@ -401,7 +402,9 @@ def reference_simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
 def protection_consistency(ladder, advice, gamma, epsilon=1e-6):
     """Realized consistency of the optimized levels on the advice instance."""
     levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, epsilon)
-    revenue = block_revenue(ladder.fares, np.asarray(levels.levels), advice.cap_counts)
+    revenue = reference_block_revenue(
+        ladder.fares, np.asarray(levels.levels), advice.cap_counts
+    )
     return revenue / core.advice_opt(ladder, advice)
 
 
@@ -425,14 +428,31 @@ def rounding_report(ladder, trace):
     }
 
 
+def reference_block_revenue(fares, levels, counts):
+    """Reference closed form of a protection-level policy on one increasing
+    block instance (``counts[j]`` arrivals of class ``j+1``), one class at a
+    time on Python scalars; same contract as ``policies.block_revenue`` on
+    one count row."""
+    q = 0.0
+    rev = 0.0
+    for j in range(len(fares)):
+        take = min(float(counts[j]), max(0.0, levels[j] - q))
+        rev += take * fares[j]
+        q += take
+    return rev
+
+
 def reference_grow_levels(ladder, advice, gamma, beta):
-    """Reference protection-level growing pass over numpy arrays, calling
-    ``block_revenue`` on the whole level vector; same contract as
-    ``protect.grow_levels_for_beta``."""
+    """Reference protection-level growing pass over numpy arrays: every
+    class refills the hard-family rows of ``core.hard_counts`` from scratch
+    with ``reference_block_revenue`` on the whole level vector; same
+    contract as ``protect.grow_levels_for_beta``."""
     m = ladder.m
     n = ladder.capacity
     fares = ladder.fares
-    prefix, blocks, opt_advice, tails = protect._advice_terms(ladder, advice)
+    prefix, blocks = core.hard_counts(ladder, advice)
+    opt_advice = core.advice_opt(ladder, advice)
+    caps = advice.cap_counts
     levels = np.zeros(m)
     comp_inc = np.zeros(m)
     cons_inc = np.zeros(m)
@@ -441,12 +461,12 @@ def reference_grow_levels(ladder, advice, gamma, beta):
         levels[k - 1 :] = levels[k - 2] if k > 1 else 0.0
 
         target = gamma * n * fk
-        have = block_revenue(fares, levels, blocks[k - 2]) if k > 1 else 0.0
+        have = reference_block_revenue(fares, levels, blocks[k - 2]) if k > 1 else 0.0
         comp_inc[k - 1] = max(0.0, (target - have) / fk)
         levels[k - 1 :] += comp_inc[k - 1]
 
-        have_advice = block_revenue(fares, levels, prefix[k - 1])
-        tail = tails[k - 1]
+        have_advice = reference_block_revenue(fares, levels, prefix[k - 1])
+        tail = sum(caps[i] * fares[i] for i in range(k, m))  # advised caps above k
         if have_advice + tail < beta * opt_advice:
             cons_inc[k - 1] = (beta * opt_advice - have_advice - tail) / fk
             levels[k - 1 :] += cons_inc[k - 1]

@@ -222,12 +222,11 @@ def _run_sweeps():
     ]
     gammas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     rows_gamma = robustness_sweep(
-        lad, advices, gammas=gammas, v_list=[0.5], trials=1000, seed=2468,
-        check_bound=True,
+        lad, advices, gammas=gammas, v_list=[0.5], trials=1000, seed=2468
     )
     rows_v = robustness_sweep(
         lad, advices, gammas=[0.4], v_list=[round(0.1 * i, 1) for i in range(10)],
-        trials=1000, seed=1357, check_bound=True,
+        trials=1000, seed=1357,
     )
     return advices, gammas, rows_gamma, rows_v
 

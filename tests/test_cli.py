@@ -65,12 +65,20 @@ class TestExitCodes:
             ("robustness", dict(BASE, gamma_grid=[0.2], noise="x")),
             ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": [None]})),
             ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": [0.1, "x"]})),
+            ("simulate", dict(BASE, advice=5, instance=[1, 2, 3])),
+            ("simulate", dict(BASE, instance=5)),
+            ("robustness", dict(BASE, gamma_grid=[0.2], advices=[7])),
+            ("simulate", dict(BASE, advice=[0.9, 3.1, 7], instance=[1, 2, 3])),
+            ("simulate", dict(BASE, advice=[True, 2, 7], instance=[1, 2, 3])),
+            ("simulate", dict(BASE, instance=[1, 2.7, 3])),
         ],
         ids=[
             "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
             "grid-max-above-bound", "grid-empty", "fare-nan", "fares-null",
             "capacity-bool", "capacity-inf", "advice-step-text", "trials-text",
             "grid-points-fractional", "noise-text", "v-list-null", "v-list-text",
+            "advice-number", "instance-number", "advices-entry-number", "advice-fractional",
+            "advice-bool", "instance-step-fractional",
         ],
     )
     def test_rejected_input(self, tmp_path, capsys, command, payload):

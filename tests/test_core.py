@@ -84,6 +84,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             core.make_instance(lad, [4])
 
+    # int() turned most of these into a valid input; nan and None raised
+    # other errors.
+    @pytest.mark.parametrize("bad", [
+        [1.5, 1, 2], [True, 1, 2], [1, 1, 2.5], [1, float("nan"), 2], [1, None, 2], ["1", 1, 2],
+    ])
+    def test_advice_counts_must_be_whole(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            core.make_advice(ladder(), bad)
+
+    @pytest.mark.parametrize("bad", [[1, 2.7], [True, 2], [1, float("inf")], [None], ["2"]])
+    def test_instance_steps_must_be_whole(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            core.make_instance(ladder(), bad)
+
+    def test_whole_floats_and_numpy_ints_accepted(self):
+        lad = ladder()
+        assert core.make_advice(lad, [1.0, 1, 2.0]).counts == (1, 1, 2)
+        assert core.make_advice(lad, np.array([1, 1, 2])).counts == (1, 1, 2)
+        assert core.make_instance(lad, [3.0, np.int64(1)]).steps == (3, 1)
+
 
 class TestBqBound:
     def test_single_fare(self):

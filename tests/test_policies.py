@@ -27,6 +27,7 @@ from . import oracles
 from .oracles import (
     advice_instance,
     hard_instances,
+    reference_block_revenue,
     reference_protection_run,
     reference_switch_block_revenue,
     reference_switch_run,
@@ -581,6 +582,62 @@ class TestBlockClosedForms:
         adv = core.make_advice(lad, [1, 1])
         with pytest.raises(ValueError):
             switch_block_revenue(lad, adv, plan_from([1.0, 1.0], [0.0] * 4), [1, 1], -0.1)
+
+
+def level_values(n):
+    """Levels at -0.0, on whole seats (so a level often equals the seats
+    sold below it) or anywhere in [0, 3n]."""
+    return st.one_of(st.sampled_from([-0.0, 0.0]), st.integers(0, 3 * n).map(float),
+                     st.floats(0.0, 3.0 * n))
+
+
+def count_arrays(data, lad):
+    """A (trials, m) count array whose last row is all zeros."""
+    rows = data.draw(st.lists(st.lists(st.integers(0, 3 * lad.capacity), min_size=lad.m,
+                                       max_size=lad.m), max_size=8), label="rows")
+    return np.array(rows + [[0] * lad.m], dtype=np.int64)
+
+
+class TestCountArrays:
+    """Both block evaluators over a (trials, m) count array against their
+    per-row references, bit for bit."""
+
+    @PROPERTY
+    @given(block_cases(), st.data())
+    def test_protection_rows_match_reference_bitwise(self, case, data):
+        lad, _, _ = case
+        counts = count_arrays(data, lad)
+        levels = data.draw(st.lists(level_values(lad.capacity), min_size=lad.m,
+                                    max_size=lad.m), label="levels")
+        got = block_revenue(lad.fares, levels, counts)
+        assert got.shape == (counts.shape[0],)
+        want = [reference_block_revenue(lad.fares, levels, row) for row in counts.tolist()]
+        assert same_bits(got, want)
+        assert same_bits(block_revenue(lad.fares, levels, counts[0]), want[0])
+
+    @RUNS_PROPERTY
+    @given(block_cases(), st.data())
+    def test_switching_rows_match_reference_bitwise(self, case, data):
+        lad, adv, _ = case
+        counts = count_arrays(data, lad)
+        plan = draw_plan(data, lad, adv)
+        epsilon = data.draw(EPSILONS, label="epsilon")
+        got = switch_block_revenue(lad, adv, plan, counts, epsilon)
+        assert got.shape == (counts.shape[0],)
+        want = [reference_switch_block_revenue(lad, adv, plan, row, epsilon)
+                for row in counts.tolist()]
+        assert same_bits(got, want)
+        assert same_bits(switch_block_revenue(lad, adv, plan, counts[0], epsilon), want[0])
+
+    def test_protection_hand_rows(self):
+        # [DERIVED] levels (-0.0, 2, 2) book no class-1 seat.  Row 1:
+        # class 2 sells 2 seats, then class 3 finds its level equal to the
+        # seats sold (2 - 2 = 0) and books nothing.  Row 2: class 3 sells
+        # its one arrival.  Row 3 has no arrivals.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 4)
+        counts = np.array([[0, 2, 3], [3, 0, 1], [0, 0, 0]])
+        got = block_revenue(lad.fares, (-0.0, 2.0, 2.0), counts)
+        assert same_bits(got, [4.0, 4.0, 0.0])
 
 
 class TestTraceOutputs:
