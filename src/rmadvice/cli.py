@@ -70,14 +70,17 @@ def _gamma(value, ladder: core.FareLadder) -> float:
 
 
 def _whole(value, name: str) -> int:
-    """A whole-number config value; anything else is a config error."""
-    try:
-        number = int(value)
-        if number != float(value):
-            raise ValueError(f"{value!r} is not a whole number")
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name}: {exc}") from exc
-    return number
+    """A whole-number config value (``core._is_whole``); anything else,
+    ``true`` and ``"5"`` included, is a config error."""
+    if not core._is_whole(value):
+        raise ConfigError(f"bad {name}: {value!r} is not a whole number")
+    return int(value)
+
+
+def _nonempty_list(value, name: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a nonempty list")
+    return value
 
 
 def _gamma_grid(cfg: dict, ladder: core.FareLadder) -> np.ndarray:
@@ -226,6 +229,7 @@ def cmd_robustness(cfg: dict, out: Path, args) -> None:
     advice_lists = cfg.get("advices")
     if advice_lists is None:
         advice_lists = [_require(cfg, "advice")]
+    _nonempty_list(advice_lists, "advices")
     try:
         advices = [core.make_advice(ladder, a) for a in advice_lists]
     except (TypeError, ValueError) as exc:
@@ -233,13 +237,14 @@ def cmd_robustness(cfg: dict, out: Path, args) -> None:
     noise_cfg = cfg.get("noise", {})
     if not isinstance(noise_cfg, dict):
         raise ConfigError("noise must be an object")
+    v_list = _nonempty_list(noise_cfg.get("v_list", [noise_cfg.get("v", 0.5)]), "v_list")
     try:
-        v_list = [float(v) for v in noise_cfg.get("v_list", [noise_cfg.get("v", 0.5)])]
+        v_list = [float(v) for v in v_list]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad noise level: {exc}") from exc
     trials = _whole(noise_cfg.get("trials", 100), "trials")
     gammas = _gamma_grid(cfg, ladder)
-    policies_list = cfg.get("policies", list(experiments.POLICIES))
+    policies_list = _nonempty_list(cfg.get("policies", list(experiments.POLICIES)), "policies")
     try:
         rows = experiments.robustness_sweep(
             ladder, advices, gammas, v_list, trials, args.seed,

@@ -10,23 +10,27 @@ permanently to one row of a fallback limit table chosen by a short
 dominance search.  A relaxed variant tolerates multiplicative advice error
 before switching.
 
-Both policies replay arrivals in any order one request at a time
-(``kernels``).  On increasing block instances, given as per-class counts,
-they cost O(m) work: ``block_revenue`` is a closed form over count
-arrays, and ``switch_block_revenue`` runs the switching loop with one run
-per class on each count row.
+Both policies book through one rule (``_book``): a class books on top of
+the classes below it, as far as every cumulative limit from its own class
+up allows.  The step runners replay arrivals in any order, one request at
+a time, on Python lists made from the instance's steps.  The switching
+policy has one loop over runs of same-class arrivals (``_switch_runs``):
+a replay passes runs of one arrival, a block instance one run per class.
+On increasing block instances, given as per-class counts, both policies
+cost O(m) work: ``block_revenue`` is a closed form over count arrays, and
+``switch_block_revenue`` runs the switching loop on each count row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, lp
-from .kernels import _switch_runs, protection_run, switch_run
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,6 @@ class PolicyTrace:
     switch_base_index: int | None = None  # start row of the fallback search
     chosen_k: int | None = None  # fallback row actually used
     search_iterations: int = 0
-
-
-def _as_fare_idx(instance: core.Instance) -> np.ndarray:
-    return np.array([s - 1 for s in instance.steps], dtype=np.int64)
-
-
-def _revenue(ladder: core.FareLadder, fare_idx: np.ndarray, accepted: np.ndarray) -> float:
-    fares = np.asarray(ladder.fares)
-    return float(np.dot(accepted, fares[fare_idx])) if fare_idx.size else 0.0
 
 
 def _eq_tol(ladder: core.FareLadder) -> float:
@@ -123,22 +118,36 @@ def run_protection_policy(
     ladder: core.FareLadder, levels: ProtectionLevels, instance: core.Instance
 ) -> PolicyTrace:
     """Run a protection-level policy over an arrival sequence."""
-    vec = np.asarray(levels.levels, dtype=float)
-    if vec.shape[0] != ladder.m:
+    limits = [float(v) for v in levels.levels]
+    if len(limits) != ladder.m:
         raise ValueError("levels length must equal the number of fare classes")
     tol = _eq_tol(ladder)
-    if np.any(vec < -tol) or np.any(np.diff(vec) < -tol):
+    # Each check is written so that NaN fails it.
+    if not (all(v >= -tol for v in limits)
+            and all(hi - lo >= -tol for lo, hi in zip(limits, limits[1:]))):
         raise ValueError("levels must be nonnegative and nondecreasing")
-    if vec[-1] > ladder.capacity + tol:
+    if not limits[-1] <= ladder.capacity + tol:
         raise ValueError("levels must not exceed capacity")
-    fare_idx = _as_fare_idx(instance)
-    accepted, q = protection_run(fare_idx, vec)
+    classes = [s - 1 for s in instance.steps]
+    q = [0.0] * ladder.m
+    accepted = [_book(q, limits, p, 1) for p in classes]
+    return _trace(ladder, instance, classes, accepted, q, core.fare_counts(instance, ladder.m))
+
+
+def _trace(ladder, instance, classes, accepted, q, arrivals, tau=0, s_row=0, k_row=0, iters=0):
+    """The ``PolicyTrace`` of a step run; rows and trigger step of 0 mean
+    "never"."""
+    accepted = np.array(accepted, dtype=float)
     return PolicyTrace(
         fare_indices=instance.steps,
         accepted=accepted,
-        q=q,
-        arrivals=core.fare_counts(instance, ladder.m).astype(float),
-        revenue=_revenue(ladder, fare_idx, accepted),
+        q=np.array(q),
+        arrivals=np.array(arrivals, dtype=float),
+        revenue=float(np.dot(accepted, np.asarray(ladder.fares)[classes])),
+        trigger_time=tau or None,
+        switch_base_index=s_row or None,
+        chosen_k=k_row or None,
+        search_iterations=iters,
     )
 
 
@@ -158,37 +167,21 @@ def derive_switch_plan(solution: lp.LPSolution) -> SwitchPlan:
     return SwitchPlan(base=base, fallback=fallback)
 
 
-def _run_switch(
-    ladder: core.FareLadder,
-    advice: core.Advice,
-    instance: core.Instance,
-    plan: SwitchPlan,
-    trigger_mult: float,
-    cap_phase1: bool,
-) -> PolicyTrace:
-    fare_idx = _as_fare_idx(instance)
-    counts = np.asarray(advice.counts, dtype=float)
-    accepted, q, arrivals, tau, s_row, k_row, iters = switch_run(
-        fare_idx,
-        counts,
-        advice.lowest_index - 1,
-        np.asarray(plan.base, dtype=float),
-        np.asarray(plan.fallback, dtype=float),
-        trigger_mult,
-        1 if cap_phase1 else 0,
-        _eq_tol(ladder),
+def _switch_inputs(ladder, advice, plan, epsilon):
+    """The arguments of ``_switch_runs`` after the runs, for the switching
+    policy with slack ``epsilon`` (0 for ``run_lp_optimal``)."""
+    return (ladder.fares, advice.counts, advice.lowest_index - 1, plan.base.tolist(),
+            plan.fallback.tolist(), 1.0 + epsilon, epsilon > 0.0, _eq_tol(ladder))
+
+
+def _run_switch(ladder, advice, instance, plan, epsilon) -> PolicyTrace:
+    classes = [s - 1 for s in instance.steps]
+    # ``_trace`` prices ``accepted`` with one ``np.dot``; the loop's
+    # running revenue sums in another order and may differ in the last bit.
+    accepted, q, seen, tau, s_row, k_row, iters, _ = _switch_runs(
+        classes, [1] * len(classes), *_switch_inputs(ladder, advice, plan, epsilon)
     )
-    return PolicyTrace(
-        fare_indices=instance.steps,
-        accepted=accepted,
-        q=q,
-        arrivals=arrivals,
-        revenue=_revenue(ladder, fare_idx, accepted),
-        trigger_time=tau if tau > 0 else None,
-        switch_base_index=s_row if s_row > 0 else None,
-        chosen_k=k_row if k_row > 0 else None,
-        search_iterations=int(iters),
-    )
+    return _trace(ladder, instance, classes, accepted, q, seen, tau, s_row, k_row, iters)
 
 
 def switch_block_revenue(ladder: core.FareLadder, advice: core.Advice, plan: SwitchPlan,
@@ -202,14 +195,103 @@ def switch_block_revenue(ladder: core.FareLadder, advice: core.Advice, plan: Swi
     each instance costs O(m) work and equals their revenue on the same
     arrivals up to summation order.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError("epsilon must be nonnegative")
     counts = np.asarray(counts)
-    inputs = (ladder.fares, advice.counts, advice.lowest_index - 1, plan.base.tolist(),
-              plan.fallback.tolist(), 1.0 + epsilon, epsilon > 0.0, _eq_tol(ladder))
+    inputs = _switch_inputs(ladder, advice, plan, epsilon)
     revenue = [_switch_runs(range(ladder.m), row, *inputs)[-1]
                for row in counts.reshape(-1, ladder.m).tolist()]
     return np.array(revenue).reshape(counts.shape[:-1])[()]  # a scalar for one row
+
+
+def _switch_runs(
+    classes, counts, fares, advice_counts, ell0, base, fallback, trigger_mult, cap_phase1, eq_tol
+):
+    """Run the switching policy over runs of arrivals, on lists: run ``r``
+    is ``counts[r]`` arrivals of 0-based class ``classes[r]``.
+
+    Phase 1 books against ``base``.  The first arrival of a class above
+    ``ell0`` (the 0-based lowest advised class) whose running count
+    exceeds ``trigger_mult`` times its advised count ``A_p`` flips the
+    policy, which then books against the row of ``fallback`` that
+    ``fallback_search`` picks.  With ``cap_phase1`` (the relaxed variant,
+    whose trigger fires later), phase 1 books a class above ``ell0`` only
+    up to ``A_p``.
+
+    Before the trigger, a run above ``ell0`` keeps in phase 1 the arrivals
+    that bring the class count up to ``floor(trigger_mult * A_p)``; the
+    next arrival triggers, and the rest of the run books against the
+    chosen row.  Returns the amount booked per run, ``q``, the arrivals
+    per class, the 1-based trigger step, the 1-based start and chosen rows
+    of the fallback search (0 if never), its number of moves, and the
+    revenue at ``fares``, added once per booked part.
+    """
+    q = [0.0] * len(base)
+    seen = [0] * len(base)
+    booked = []
+    limits = base
+    arrived = tau = s_row = k_row = iters = 0
+    revenue = 0.0
+    for p, c in zip(classes, counts):
+        take, rest = 0, c
+        if tau == 0 and p > ell0:
+            bound = trigger_mult * advice_counts[p]
+            before = c if not bound < math.inf else min(c, max(0, math.floor(bound) - seen[p]))
+            first = min(before, max(0, advice_counts[p] - seen[p])) if cap_phase1 else before
+            rest = c - before
+            if first:
+                take = _book(q, limits, p, first)
+                revenue += take * fares[p]
+            if rest:
+                tau = arrived + before + 1
+                s0, k, iters = fallback_search(q, base, fallback, eq_tol)
+                s_row, k_row = s0 + 1, k + 1
+                limits = fallback[k]
+        if rest:
+            more = _book(q, limits, p, rest)
+            revenue += more * fares[p]
+            take = take + more if take else more  # a lone part keeps its -0.0
+        seen[p] += c
+        arrived += c
+        booked.append(take)
+    return booked, q, seen, tau, s_row, k_row, iters, revenue
+
+
+def _book(q, limits, p, count):
+    """Book up to ``count`` arrivals of class ``p`` against cumulative
+    ``limits``: as many as every count from class ``p`` up has room for,
+    added to each of them.  Returns the amount booked."""
+    room = count
+    for k in range(p, len(q)):
+        slack = limits[k] - q[k]
+        if slack < room:
+            room = slack
+    if room < 0.0:
+        room = 0.0
+    if room > 0.0:
+        for k in range(p, len(q)):
+            q[k] += room
+    return room
+
+
+def fallback_search(q, base_levels, fallback_levels, eq_tol):
+    """Pick the fallback row the switching policy books against after its
+    trigger, given the cumulative bookings ``q`` at that moment.
+
+    The search starts from the highest class filled to its base level and
+    moves to the first class whose bookings exceed the current row, until
+    a row dominates ``q`` or the moves exceed ``m``.  Returns the
+    0-based start and chosen rows and the number of moves.
+    """
+    m = len(base_levels)
+    s0 = max((j for j in range(m) if base_levels[j] - q[j] <= eq_tol), default=0)
+    k = s0
+    for moves in range(m + 1):
+        bad = next((j for j in range(m) if q[j] > fallback_levels[k][j] + eq_tol), -1)
+        if bad < 0:
+            return s0, k, moves
+        k = bad
+    return s0, k, m + 1
 
 
 def run_lp_optimal(
@@ -226,7 +308,7 @@ def run_lp_optimal(
     """
     if plan is None:
         plan = derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma))
-    return _run_switch(ladder, advice, instance, plan, 1.0, cap_phase1=False)
+    return _run_switch(ladder, advice, instance, plan, 0.0)
 
 
 def run_relaxed_optimal(
@@ -243,11 +325,11 @@ def run_relaxed_optimal(
     times its advised value; until then phase 1 never books a class above
     the lowest advised one beyond its advised count.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if plan is None:
         plan = derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma))
-    return _run_switch(ladder, advice, instance, plan, 1.0 + epsilon, cap_phase1=True)
+    return _run_switch(ladder, advice, instance, plan, epsilon)
 
 
 def trace_to_csv(ladder: core.FareLadder, trace: PolicyTrace) -> str:

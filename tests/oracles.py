@@ -167,7 +167,9 @@ def replay_protection(fares, levels, steps):
 
 def reference_protection_run(fare_idx, levels):
     """Reference protection-level run over numpy scalars, one arrival at a
-    time; same contract as ``kernels.protection_run``."""
+    time: 0-based ``fare_idx``, cumulative ``levels``.  Returns the
+    per-step accepted fractions and the final cumulative counts, as
+    ``policies.run_protection_policy`` records them."""
     m = levels.shape[0]
     T = fare_idx.shape[0]
     q = np.zeros(m)
@@ -190,7 +192,7 @@ def reference_protection_run(fare_idx, levels):
 
 def reference_fallback_search(q, base_levels, fallback_levels, eq_tol):
     """Reference fallback-row search over numpy arrays; same contract as
-    ``kernels.fallback_search``."""
+    ``policies.fallback_search``."""
     m = base_levels.shape[0]
     s0 = 0
     for j in range(m):
@@ -217,7 +219,11 @@ def reference_switch_run(
     fare_idx, advice_counts, ell0, base_levels, fallback_levels, trigger_mult, cap_phase1, eq_tol
 ):
     """Reference switching-policy run over numpy scalars, one arrival at a
-    time; same contract as ``kernels.switch_run``."""
+    time, on 0-based ``fare_idx``.  Returns the per-step accepted fractions,
+    the final cumulative counts, the arrivals per class, the 1-based
+    trigger step, start and chosen rows of the fallback search (0 if
+    never) and its number of moves, as ``policies.run_lp_optimal`` (with
+    ``trigger_mult`` 1) and ``run_relaxed_optimal`` record them."""
     m = advice_counts.shape[0]
     T = fare_idx.shape[0]
     q = np.zeros(m)

@@ -71,6 +71,16 @@ class TestExitCodes:
             ("simulate", dict(BASE, advice=[0.9, 3.1, 7], instance=[1, 2, 3])),
             ("simulate", dict(BASE, advice=[True, 2, 7], instance=[1, 2, 3])),
             ("simulate", dict(BASE, instance=[1, 2.7, 3])),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"trials": True})),
+            ("rs-grid", dict(BASE, advice_step="5")),
+            ("rs-grid", dict(BASE, gamma_grid={"min": 0.0, "max": 0.5, "points": True})),
+            ("robustness", dict(BASE, gamma_grid=[0.2], policies=5)),
+            ("robustness", dict(BASE, gamma_grid=[0.2], policies=[])),
+            ("robustness", dict(BASE, gamma_grid=[0.2], policies="bq")),
+            ("robustness", dict(BASE, gamma_grid=[0.2], advices=[])),
+            ("robustness", dict(BASE, gamma_grid=[0.2], advices={"a": [0, 3, 7]})),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": []})),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": 0.5})),
         ],
         ids=[
             "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
@@ -78,7 +88,9 @@ class TestExitCodes:
             "capacity-bool", "capacity-inf", "advice-step-text", "trials-text",
             "grid-points-fractional", "noise-text", "v-list-null", "v-list-text",
             "advice-number", "instance-number", "advices-entry-number", "advice-fractional",
-            "advice-bool", "instance-step-fractional",
+            "advice-bool", "instance-step-fractional", "trials-bool", "advice-step-numeric-text",
+            "grid-points-bool", "policies-number", "policies-empty", "policies-text",
+            "advices-empty", "advices-object", "v-list-empty", "v-list-number",
         ],
     )
     def test_rejected_input(self, tmp_path, capsys, command, payload):

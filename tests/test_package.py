@@ -1,5 +1,7 @@
-"""Package-level properties: what importing ``rmadvice`` costs."""
+"""Package-level properties: what importing ``rmadvice`` costs, and which
+modules may import which."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +25,32 @@ def test_import_loads_no_heavy_module():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.split() == []
+
+
+def _rmadvice_imports(module: str) -> set[str]:
+    """The ``rmadvice`` modules that ``src/rmadvice/<module>.py`` imports,
+    by their names inside the package (``""`` for the package itself)."""
+    path = os.path.join(rmadvice.__path__[0], f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: ``from . import a``, ``from .a import b``
+                base = f"rmadvice.{base}".rstrip(".")
+            names = [f"{base}.{a.name}" for a in node.names] if base == "rmadvice" else [base]
+        else:
+            continue
+        found.update(n.partition(".")[2] for n in names
+                     if n == "rmadvice" or n.startswith("rmadvice."))
+    return found
+
+
+def test_booking_rule_has_one_home():
+    # ``policies`` owns the booking rule and the run loops; ``kernels``
+    # holds only the simplex pivot loop and depends on no other module.
+    assert "kernels" not in _rmadvice_imports("policies")
+    assert _rmadvice_imports("kernels") == set()

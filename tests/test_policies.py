@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, kernels, lp
+from rmadvice import core, lp
 from rmadvice.policies import (
     ProtectionLevels,
     SwitchPlan,
     _eq_tol,
+    _switch_runs,
     bq_levels,
     block_revenue,
     derive_switch_plan,
@@ -71,6 +72,16 @@ class TestProtectionPolicy:
             run_protection_policy(
                 lad, ProtectionLevels(levels=(2.0, 1.0)), core.Instance(steps=())
             )
+
+    def test_nan_levels_rejected(self):
+        # NaN passes any check written as "fail when below the bound"; at
+        # capacity 10 such levels once booked all 20 class-1 arrivals.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 10)
+        inst = core.make_instance(lad, [1] * 20)
+        nan = math.nan
+        for levels in [(nan, nan, nan), (nan, 5.0, 10.0), (0.0, nan, 10.0), (0.0, 5.0, nan)]:
+            with pytest.raises(ValueError):
+                run_protection_policy(lad, ProtectionLevels(levels=levels), inst)
 
     def test_matches_naive_replay_on_random_runs(self):
         rng = np.random.default_rng(5)
@@ -311,8 +322,9 @@ class TestRelaxedPolicy:
     def test_epsilon_must_be_positive(self):
         lad = core.make_fare_ladder([1.0, 2.0], 2)
         adv = core.make_advice(lad, [0, 2])
-        with pytest.raises(ValueError):
-            run_relaxed_optimal(lad, adv, 0.5, 0.0, core.Instance(steps=()))
+        for epsilon in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                run_relaxed_optimal(lad, adv, 0.5, epsilon, core.Instance(steps=()))
 
     def test_relaxed_guarantee_on_near_conforming(self):
         # instances within multiplicative slack (mu, nu), mu below the
@@ -412,7 +424,7 @@ EPSILONS = st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0, math.inf])
 
 
 def switch_args(lad, adv, plan, epsilon, steps):
-    """``kernels.switch_run`` arguments of the policy ``step_revenue`` runs."""
+    """``reference_switch_run`` arguments of the policy ``step_revenue`` runs."""
     return (np.array(steps, dtype=np.int64), np.asarray(adv.counts, dtype=float),
             adv.lowest_index - 1, plan.base, plan.fallback, 1.0 + epsilon,
             1 if epsilon > 0.0 else 0, _eq_tol(lad))
@@ -434,15 +446,18 @@ class TestRunLoop:
         plan = draw_plan(data, lad, adv)
         epsilon = data.draw(EPSILONS, label="epsilon")
         steps = data.draw(st.lists(st.integers(0, lad.m - 1), max_size=40), label="steps")
-        args = switch_args(lad, adv, plan, epsilon, steps)
-        got = kernels.switch_run(*args)
+        trace = step_revenue(lad, adv, plan, epsilon, core.Instance(tuple(p + 1 for p in steps)))
         # The numpy-scalar reference warns on inf * 0 (infinite slack, A_p = 0).
         with np.errstate(invalid="ignore"):
-            want = reference_switch_run(*args)
-        for a, b in zip(got[:3], want[:3]):
+            want = reference_switch_run(*switch_args(lad, adv, plan, epsilon, steps))
+        for a, b in zip((trace.accepted, trace.q, trace.arrivals), want[:3]):
             assert same_bits(a, b)
         # trigger step, start and chosen rows, search moves: equal ints
-        assert got[3:] == want[3:] and all(type(v) is int for v in got[3:])
+        got = (trace.trigger_time or 0, trace.switch_base_index or 0, trace.chosen_k or 0,
+               trace.search_iterations)
+        assert got == want[3:] and all(type(v) is int for v in got)
+        fares = np.asarray(lad.fares)[np.array(steps, dtype=np.int64)]
+        assert same_bits(trace.revenue, np.dot(want[0], fares))
 
     @RUNS_PROPERTY
     @given(block_cases(), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
@@ -452,9 +467,12 @@ class TestRunLoop:
         levels = np.cumsum(shares[: lad.m])
         levels *= lad.capacity / max(levels[-1], 1.0)
         fare_idx = np.array([p % lad.m for p in steps], dtype=np.int64)
-        for a, b in zip(kernels.protection_run(fare_idx, levels),
-                        reference_protection_run(fare_idx, levels)):
+        trace = run_protection_policy(lad, ProtectionLevels(tuple(levels.tolist())),
+                                      core.Instance(tuple(p + 1 for p in fare_idx.tolist())))
+        want = reference_protection_run(fare_idx, levels)
+        for a, b in zip((trace.accepted, trace.q), want):
             assert same_bits(a, b)
+        assert same_bits(trace.revenue, np.dot(want[0], np.asarray(lad.fares)[fare_idx]))
 
     @RUNS_PROPERTY
     @given(block_cases(), st.data())
@@ -468,7 +486,7 @@ class TestRunLoop:
         )
         steps = [p for p, c in runs for _ in range(c)]
         encoded = [(p, len(list(g))) for p, g in itertools.groupby(steps)]
-        booked, q, seen, tau, _, k_row, _, revenue = kernels._switch_runs(
+        booked, q, seen, tau, _, k_row, _, revenue = _switch_runs(
             [p for p, _ in encoded], [c for _, c in encoded], lad.fares, adv.counts,
             adv.lowest_index - 1, plan.base.tolist(), plan.fallback.tolist(),
             1.0 + epsilon, epsilon > 0.0, _eq_tol(lad),
@@ -488,12 +506,15 @@ class TestRunLoop:
         # [DERIVED] A_2 = 0, so the first class-2 arrival triggers with
         # nothing booked; the chosen row holds -0.0, so the slack is
         # -0.0 - 0.0 = -0.0 and the step books -0.0, as the reference does.
-        args = (np.array([1]), np.array([2.0, 0.0]), 0, np.zeros(2), np.full((2, 2), -0.0),
-                1.0, 0, 1e-9)
-        got, want = kernels.switch_run(*args), reference_switch_run(*args)
+        lad = core.make_fare_ladder([1.0, 2.0], 2)
+        adv = core.make_advice(lad, [2, 0])
+        plan = SwitchPlan(base=np.zeros(2), fallback=np.full((2, 2), -0.0))
+        trace = run_lp_optimal(lad, adv, 0.0, core.Instance((2,)), plan)
+        want = reference_switch_run(*switch_args(lad, adv, plan, 0.0, [1]))
         assert want[0].tobytes() == np.array([-0.0]).tobytes()
-        for a, b in zip(got[:3], want[:3]):
+        for a, b in zip((trace.accepted, trace.q, trace.arrivals), want[:3]):
             assert same_bits(a, b)
+        assert trace.trigger_time == 1
 
     def test_row_below_bookings_books_nothing(self):
         # [DERIVED] phase 1 sells 5 + 5 seats, filling base (5, 10); the
@@ -580,8 +601,9 @@ class TestBlockClosedForms:
     def test_negative_epsilon_rejected(self):
         lad = core.make_fare_ladder([1.0, 2.0], 2)
         adv = core.make_advice(lad, [1, 1])
-        with pytest.raises(ValueError):
-            switch_block_revenue(lad, adv, plan_from([1.0, 1.0], [0.0] * 4), [1, 1], -0.1)
+        for epsilon in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                switch_block_revenue(lad, adv, plan_from([1.0, 1.0], [0.0] * 4), [1, 1], epsilon)
 
 
 def level_values(n):
