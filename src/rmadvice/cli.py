@@ -9,9 +9,10 @@ Subcommands::
     solve-lp    raw LP solution for (advice, gamma)         -> JSON
     robustness  Monte-Carlo sweep over noise levels         -> CSV + manifest
 
-All inputs come from a JSON config file (``--config``); outputs go under
-``--out``.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+Each subcommand maps a JSON config (``--config``) to its output files;
+``main`` writes them with ``manifest.json`` under ``--out`` once the
+subcommand has returned.  Exit codes: 0 success, 2 configuration error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import core, experiments, frontier, lp, policies, protect
-from .simplex import SolverError
 
 
 class ConfigError(ValueError):
@@ -35,10 +35,12 @@ class ConfigError(ValueError):
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _require(cfg: dict, key: str):
@@ -47,26 +49,13 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _ladder(cfg: dict) -> core.FareLadder:
+def _checked(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with the input errors it raises
+    (``TypeError``, ``ValueError``) turned into config errors."""
     try:
-        return core.make_fare_ladder(_require(cfg, "fares"), _require(cfg, "capacity"))
+        return call(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _advice(cfg: dict, ladder: core.FareLadder) -> core.Advice:
-    try:
-        return core.make_advice(ladder, _require(cfg, "advice"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _gamma(value, ladder: core.FareLadder) -> float:
-    """A competitiveness target, required to lie in [0, c(F)]."""
-    try:
-        return core.check_gamma(ladder, float(value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gamma: {exc}") from exc
 
 
 def _whole(value, name: str) -> int:
@@ -77,38 +66,47 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _number(value, name: str) -> float:
+    """A real config value (``core._is_number``); anything else,
+    ``false`` and ``"0.3"`` included, is a config error."""
+    if not core._is_number(value):
+        raise ConfigError(f"bad {name}: {value!r} is not a finite number")
+    return float(value)
+
+
 def _nonempty_list(value, name: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a nonempty list")
     return value
 
 
+def _ladder(cfg: dict) -> core.FareLadder:
+    return _checked(core.make_fare_ladder, _require(cfg, "fares"), _require(cfg, "capacity"))
+
+
+def _gamma(value, ladder: core.FareLadder) -> float:
+    """A competitiveness target, required to lie in [0, c(F)]."""
+    return _checked(core.check_gamma, ladder, _number(value, "gamma"))
+
+
 def _gamma_grid(cfg: dict, ladder: core.FareLadder) -> np.ndarray:
     spec = cfg.get("gamma_grid")
     if spec is None:
         return frontier.default_gamma_grid(ladder)
-    try:
-        if isinstance(spec, list):
-            grid = np.asarray(spec, dtype=float)
-        else:
-            grid = np.linspace(
-                float(spec["min"]), float(spec["max"]), _whole(spec["points"], "points")
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gamma_grid: {exc}") from exc
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError("gamma_grid must be a nonempty list of numbers")
+    if isinstance(spec, dict):
+        lo, hi = (_number(_require(spec, key), f"gamma_grid {key}") for key in ("min", "max"))
+        grid = _checked(np.linspace, lo, hi, _whole(_require(spec, "points"), "points"))
+    else:
+        entries = _nonempty_list(spec, "gamma_grid")
+        grid = np.array([_number(g, "gamma_grid entry") for g in entries])
+    if grid.size == 0:
+        raise ConfigError("gamma_grid must have at least one point")
     for gamma in grid:
         _gamma(gamma, ladder)
     return grid
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="utf-8")
-
-
-def _manifest(out_dir: Path, command: str, cfg: dict, seed) -> None:
+def _manifest(command: str, cfg: dict, seed) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     payload = {
         "command": command,
@@ -116,144 +114,112 @@ def _manifest(out_dir: Path, command: str, cfg: dict, seed) -> None:
         "seed": seed,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     }
-    _write(out_dir, "manifest.json", json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _float17(value: float) -> float:
-    return float(f"{value:.17g}")
-
-
-def cmd_frontier(cfg: dict, out: Path, args) -> None:
+def cmd_frontier(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
-    advice = _advice(cfg, ladder)
-    curve = frontier.consistency_frontier(
-        ladder, advice, _gamma_grid(cfg, ladder), epsilon=args.epsilon
-    )
-    _write(out, "frontier.csv", frontier.frontier_to_csv(curve))
-    _manifest(out, "frontier", cfg, args.seed)
+    advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
+    grid = _gamma_grid(cfg, ladder)
+    curve = frontier.consistency_frontier(ladder, advice, grid, epsilon=args.epsilon)
+    return {"frontier.csv": frontier.frontier_to_csv(curve)}
 
 
-def cmd_rs_grid(cfg: dict, out: Path, args) -> None:
+def cmd_rs_grid(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
     step = _whole(cfg.get("advice_step", 10), "advice_step")
-    try:
-        advices = frontier.advice_grid(ladder, step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    advices = _checked(frontier.advice_grid, ladder, step)
     grid = _gamma_grid(cfg, ladder)
     rs_values = [
         frontier.relative_suboptimality(ladder, a, grid, epsilon=args.epsilon)
         for a in advices
     ]
-    _write(out, "rs_grid.csv", frontier.rs_grid_to_csv(advices, rs_values))
-    _manifest(out, "rs-grid", cfg, args.seed)
+    return {"rs_grid.csv": frontier.rs_grid_to_csv(advices, rs_values)}
 
 
-def cmd_simulate(cfg: dict, out: Path, args) -> None:
+def cmd_simulate(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
-    advice = _advice(cfg, ladder)
-    try:
-        instance = core.make_instance(ladder, _require(cfg, "instance"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
+    instance = _checked(core.make_instance, ladder, _require(cfg, "instance"))
     policy = cfg.get("policy", "lp_optimal")
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
     if policy == "lp_optimal":
         trace = policies.run_lp_optimal(ladder, advice, gamma, instance)
     elif policy == "lp_relaxed":
-        trace = policies.run_relaxed_optimal(
-            ladder, advice, gamma, args.epsilon, instance
-        )
+        trace = policies.run_relaxed_optimal(ladder, advice, gamma, args.epsilon, instance)
     elif policy == "optimal_pl":
-        levels, _ = protect.optimal_protection_levels(ladder, advice, gamma)
+        levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, args.epsilon)
         trace = policies.run_protection_policy(ladder, levels, instance)
     elif policy == "bq":
         trace = policies.run_protection_policy(ladder, policies.bq_levels(ladder), instance)
     else:
         raise ConfigError(f"unknown policy {policy!r}")
-    _write(out, "trace.csv", policies.trace_to_csv(ladder, trace))
     opt = core.opt_revenue(ladder, instance)
     ratio = trace.revenue / opt if opt > 0 else 1.0
     summary = {
         "policy": policy,
-        "revenue": _float17(trace.revenue),
-        "opt": _float17(opt),
-        "realized_ratio": _float17(ratio),
+        "revenue": float(trace.revenue),
+        "opt": opt,
+        "realized_ratio": float(ratio),
         "trigger_time": trace.trigger_time,
     }
-    _write(out, "summary.json", json.dumps(summary, indent=2) + "\n")
-    _manifest(out, "simulate", cfg, args.seed)
     print(f"realized competitive ratio: {ratio:.6f}")
+    return {
+        "trace.csv": policies.trace_to_csv(ladder, trace),
+        "summary.json": json.dumps(summary, indent=2) + "\n",
+    }
 
 
-def cmd_protect(cfg: dict, out: Path, args) -> None:
+def cmd_protect(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
-    advice = _advice(cfg, ladder)
+    advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
-    try:
-        _, beta_lower = protect.optimal_protection_levels(
-            ladder, advice, gamma, args.epsilon
-        )
-        candidate = protect.grow_levels_for_beta(ladder, advice, gamma, beta_lower)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write(out, "levels.json", protect.levels_to_json(ladder, gamma, beta_lower, candidate))
-    _manifest(out, "protect", cfg, args.seed)
+    _, beta_lower = protect.optimal_protection_levels(ladder, advice, gamma, args.epsilon)
+    candidate = protect.grow_levels_for_beta(ladder, advice, gamma, beta_lower)
+    return {"levels.json": protect.levels_to_json(ladder, gamma, beta_lower, candidate)}
 
 
-def cmd_solve_lp(cfg: dict, out: Path, args) -> None:
+def cmd_solve_lp(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
-    advice = _advice(cfg, ladder)
+    advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
-    try:
-        model = lp.build_pareto_lp(ladder, advice, gamma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = lp.build_pareto_lp(ladder, advice, gamma)
     solution = lp.solve_lp(model)
     payload = {
         "gamma": gamma,
         "status": solution.status,
-        "beta_star": _float17(solution.beta_star),
-        "x": [_float17(v) for v in solution.x],
-        "y": [[_float17(v) for v in row] for row in solution.y],
-        "max_violation": _float17(solution.max_violation),
+        "beta_star": float(solution.beta_star),
+        "x": solution.x.tolist(),
+        "y": solution.y.tolist(),
+        "max_violation": float(solution.max_violation),
     }
-    _write(out, "lp_solution.json", json.dumps(payload, indent=2) + "\n")
+    files = {"lp_solution.json": json.dumps(payload, indent=2) + "\n"}
     if cfg.get("dump_model"):
-        _write(out, "lp_model.txt", lp.dump_model(model))
-    _manifest(out, "solve-lp", cfg, args.seed)
+        files["lp_model.txt"] = lp.dump_model(model)
+    return files
 
 
-def cmd_robustness(cfg: dict, out: Path, args) -> None:
+def cmd_robustness(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
     advice_lists = cfg.get("advices")
     if advice_lists is None:
         advice_lists = [_require(cfg, "advice")]
-    _nonempty_list(advice_lists, "advices")
-    try:
-        advices = [core.make_advice(ladder, a) for a in advice_lists]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    advices = [
+        _checked(core.make_advice, ladder, a) for a in _nonempty_list(advice_lists, "advices")
+    ]
     noise_cfg = cfg.get("noise", {})
     if not isinstance(noise_cfg, dict):
         raise ConfigError("noise must be an object")
     v_list = _nonempty_list(noise_cfg.get("v_list", [noise_cfg.get("v", 0.5)]), "v_list")
-    try:
-        v_list = [float(v) for v in v_list]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise level: {exc}") from exc
+    v_list = [_number(v, "noise level") for v in v_list]
     trials = _whole(noise_cfg.get("trials", 100), "trials")
     gammas = _gamma_grid(cfg, ladder)
     policies_list = _nonempty_list(cfg.get("policies", list(experiments.POLICIES)), "policies")
-    try:
-        rows = experiments.robustness_sweep(
-            ladder, advices, gammas, v_list, trials, args.seed,
-            policies=policies_list, epsilon=args.epsilon,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write(out, "sweep.csv", experiments.sweep_to_csv(rows))
-    _manifest(out, "robustness", cfg, args.seed)
+    rows = _checked(
+        experiments.robustness_sweep, ladder, advices, gammas, v_list, trials, args.seed,
+        policies=policies_list, epsilon=args.epsilon,
+    )
+    return {"sweep.csv": experiments.sweep_to_csv(rows)}
 
 
 _COMMANDS = {
@@ -284,15 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
         if not 0.0 < args.epsilon < math.inf:
             raise ConfigError(f"--epsilon {args.epsilon!r} must be positive and finite")
         cfg = _load_config(args.config)
-        _COMMANDS[args.command](cfg, Path(args.out), args)
+        files = _COMMANDS[args.command](cfg, args)
+        files["manifest.json"] = _manifest(args.command, cfg, args.seed)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, RuntimeError, FloatingPointError) as exc:
+    except (RuntimeError, FloatingPointError) as exc:  # SolverError is a RuntimeError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

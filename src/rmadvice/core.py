@@ -75,11 +75,12 @@ class Instance:
 
 def make_fare_ladder(fares, capacity: int) -> FareLadder:
     """Validate and build a fare ladder."""
-    fares = tuple(float(f) for f in fares)
+    fares = tuple(fares)
     if len(fares) == 0:
         raise ValueError("at least one fare class is required")
-    if not all(math.isfinite(f) for f in fares):
-        raise ValueError("fares must be finite")
+    if not all(_is_number(f) for f in fares):
+        raise ValueError("fares must be finite numbers")
+    fares = tuple(float(f) for f in fares)
     if fares[0] <= 0.0:
         raise ValueError("fares must be positive")
     for lo, hi in zip(fares, fares[1:]):
@@ -96,6 +97,19 @@ def _is_whole(value) -> bool:
     try:
         return not isinstance(value, bool) and int(value) == value
     except (OverflowError, TypeError, ValueError):
+        return False
+
+
+def _is_number(value) -> bool:
+    """True for a finite real other than a ``bool`` or text: ``2``, ``2.5``
+    and numpy scalars, not ``True``, ``nan``, ``inf`` or ``"2.5"``."""
+    try:
+        return (
+            isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an int too large for a float
         return False
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .kernels import _pivot, simplex_iterate
 
-FEAS_TOL = 1e-9
 COST_TOL = 1e-9
 PIVOT_TOL = 1e-11
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,14 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def run_failing(tmp_path, command, config, *flags):
+    """Exit code of a run expected to fail; such a run writes nothing."""
+    out = tmp_path / "o"
+    code = main([command, "--config", config, "--out", str(out), *flags])
+    assert not out.exists()
+    return code
+
+
 BASE = {
     "fares": [1.0, 2.0, 4.0],
     "capacity": 10,
@@ -26,26 +35,40 @@ BASE = {
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
-        assert main(["frontier", "--config", str(tmp_path / "nope.json")]) == 2
+        assert run_failing(tmp_path, "frontier", str(tmp_path / "nope.json")) == 2
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        assert main(["frontier", "--config", str(path)]) == 2
+        assert run_failing(tmp_path, "frontier", str(path)) == 2
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run_failing(tmp_path, "frontier", str(path)) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_missing_required_key(self, tmp_path):
         cfg = write_config(tmp_path, {"fares": [1.0, 2.0]})
-        assert main(["frontier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert run_failing(tmp_path, "frontier", cfg) == 2
 
     def test_invalid_advice(self, tmp_path):
         payload = dict(BASE, advice=[1, 1, 1])
         cfg = write_config(tmp_path, payload)
-        assert main(["frontier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert run_failing(tmp_path, "frontier", cfg) == 2
 
     def test_unknown_policy(self, tmp_path):
         payload = dict(BASE, instance=[1, 2, 3], policy="wat")
         cfg = write_config(tmp_path, payload)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert run_failing(tmp_path, "simulate", cfg) == 2
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
+        out = tmp_path / "taken"
+        out.write_text("x", encoding="utf-8")
+        assert main(["frontier", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "x"
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -81,6 +104,18 @@ class TestExitCodes:
             ("robustness", dict(BASE, gamma_grid=[0.2], advices={"a": [0, 3, 7]})),
             ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": []})),
             ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": 0.5})),
+            ("simulate", dict(BASE, gamma=False, instance=[1, 2, 3])),
+            ("simulate", dict(BASE, gamma="0.3", instance=[1, 2, 3])),
+            ("frontier", dict(BASE, fares="124")),
+            ("frontier", dict(BASE, fares=["1", "2", "4"])),
+            ("frontier", dict(BASE, fares=[True, 2, 4])),
+            ("frontier", dict(BASE, gamma_grid=[0.0, "0.1"])),
+            ("frontier", dict(BASE, gamma_grid={"min": "0", "max": 0.5, "points": 3})),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v_list": [False]})),
+            ("robustness", dict(BASE, gamma_grid=[0.2], noise={"v": "0.5"})),
+            ("frontier", dict(BASE, gamma_grid={"min": 0.0, "max": 0.5, "points": -1})),
+            ("frontier", [BASE]),
+            ("frontier", 5),
         ],
         ids=[
             "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
@@ -91,21 +126,22 @@ class TestExitCodes:
             "advice-bool", "instance-step-fractional", "trials-bool", "advice-step-numeric-text",
             "grid-points-bool", "policies-number", "policies-empty", "policies-text",
             "advices-empty", "advices-object", "v-list-empty", "v-list-number",
+            "gamma-bool", "gamma-text", "fares-text", "fares-text-entries", "fares-bool-entry",
+            "grid-entry-text", "grid-min-text", "v-list-bool", "v-text", "grid-points-negative",
+            "config-list", "config-number",
         ],
     )
     def test_rejected_input(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert run_failing(tmp_path, command, cfg) == 2
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["frontier", "protect", "rs-grid", "robustness"])
     @pytest.mark.parametrize("epsilon", ["nan", "-1", "0", "inf"])
     def test_bad_epsilon(self, tmp_path, capsys, command, epsilon):
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), f"--epsilon={epsilon}"]
-        assert main(argv) == 2
+        assert run_failing(tmp_path, command, cfg, f"--epsilon={epsilon}") == 2
         assert "config error:" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["frontier", "protect"])
     def test_epsilon_below_double_resolution_finishes(self, tmp_path, command):
@@ -116,7 +152,7 @@ class TestExitCodes:
     def test_violating_lp_point_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lp, "check_point", lambda model, point: 1.0)
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
-        assert main(["frontier", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert run_failing(tmp_path, "frontier", cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "robustness", "solve-lp", "frontier"])
@@ -127,7 +163,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(lp, "solve_beta", infeasible)
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[3] * 12))
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert run_failing(tmp_path, command, cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
     def test_robustness_bound_error_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
@@ -136,7 +172,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(experiments, "robustness_sweep", violated)
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
-        assert main(["robustness", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert run_failing(tmp_path, "robustness", cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
 
@@ -200,6 +236,29 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["realized_ratio"] >= 0.3 - 1e-9
 
+    def test_optimal_pl_replays_protect_levels(self, tmp_path):
+        # A coarse --epsilon gives other levels than the default (top level
+        # 11.09, not 12); both commands must use the same ones.  Twelve
+        # arrivals per class in increasing order fill every level, so the
+        # last trace row's cumulative counts are the levels.
+        payload = {
+            "fares": [1.0, 1.7, 2.9, 5.3],
+            "capacity": 12,
+            "advice": [2, 3, 4, 3],
+            "gamma": 0.25,
+            "instance": [i for i in range(1, 5) for _ in range(12)],
+            "policy": "optimal_pl",
+        }
+        cfg = write_config(tmp_path, payload)
+        for command in ("simulate", "protect"):
+            argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
+            assert main(argv + ["--epsilon", "0.1"]) == 0
+        levels = json.loads((tmp_path / "protect" / "levels.json").read_text())["levels"]
+        last = (tmp_path / "simulate" / "trace.csv").read_text().strip().split("\n")[-1]
+        replayed = [float(v) for v in last.split(",")[4:8]]
+        assert levels[-1] < 11.5
+        assert replayed == pytest.approx(levels, rel=1e-12)
+
 
 class TestProtect:
     def test_levels_json(self, tmp_path):
@@ -245,3 +304,83 @@ class TestRobustness:
         assert len(lines) == 1 + 2 * 2 * 2 * 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 4
+
+
+README_CONFIG = {
+    "fares": [1.0, 2.0, 4.0],
+    "capacity": 100,
+    "advice": [10, 20, 70],
+    "gamma_grid": {"min": 0.0, "max": 0.5, "points": 41},
+}
+SIMULATE_CONFIG = dict(BASE, instance=[1, 1, 2, 3, 1, 2, 2, 3, 3, 1, 3, 3, 2, 3])
+SWEEP_CONFIG = {
+    "fares": [1.0, 2.0, 4.0],
+    "capacity": 10,
+    "advices": [[0, 3, 7], [2, 4, 4]],
+    "gamma_grid": [0.2, 0.4],
+    "noise": {"v_list": [0.0, 0.5], "trials": 5},
+}
+
+
+class TestGolden:
+    """SHA-256 of every output file of one small run per subcommand, at
+    ``--seed 4`` and the default ``--epsilon``.  A change to any output
+    byte fails here; such a change must say why and update the digests."""
+
+    @pytest.mark.parametrize(
+        "command, payload, digests",
+        [
+            ("frontier", README_CONFIG, {
+                "frontier.csv": "617d7f526a2d9c6e2cdbcd57d1890611624d418fa833892c7ef30bc03796b13d",
+                "manifest.json": "683117d6c87219ce8519cd86f5d61623aa3b37d0c66541e172e5913bae056ad0",
+            }),
+            ("protect", README_CONFIG, {
+                "levels.json": "da15f80cba36acd3ab3688126a20c99eb48f0e2a45920c24626328792934c8f0",
+                "manifest.json": "31e78797cff2a8f0eeec0f1e10c4a20d68acd52f9b95538bf9efaae94852cc92",
+            }),
+            ("solve-lp", dict(README_CONFIG, dump_model=True), {
+                "lp_model.txt": "f0c70685b13326d827eb3bf1164f74eba8af86152ec1e2969491b22607dd372e",
+                "lp_solution.json": "c939569a5015ca27b7cf55b29246f54386196bc6b411132c782b52c87ce56f5b",
+                "manifest.json": "3bf606fbf16169373913b767d6672d3398c466148ae7727d9888bdf9b2556e8a",
+            }),
+            ("simulate", dict(SIMULATE_CONFIG, policy="lp_optimal"), {
+                "manifest.json": "ac3cadf38af8df00938fb0d0b4dec28b5ccd2aad80453631790561b6e6aa5abd",
+                "summary.json": "2148aefddc4e45e54a26b695ff9abcdcb29a809c2da96273a97eacf2eded8a86",
+                "trace.csv": "270b6f274369bb747465d360f94b2e10862ef7579f5066c1a82b97f75e68321c",
+            }),
+            ("simulate", dict(SIMULATE_CONFIG, policy="lp_relaxed"), {
+                "manifest.json": "2b4a44219ac228a883cf6fb5cdfe45745aa3e3403b48ac3cc4e11da137c4c5da",
+                "summary.json": "a7e7dcc7f963ffd2897557a39c12a2963ee87965c873070f3dbdb895e223680b",
+                "trace.csv": "270b6f274369bb747465d360f94b2e10862ef7579f5066c1a82b97f75e68321c",
+            }),
+            ("simulate", dict(SIMULATE_CONFIG, policy="optimal_pl"), {
+                "manifest.json": "2a4ab420f128a81d2578870aea9a555d8f731715aecab6caaafe44f9c987d20a",
+                "summary.json": "b3cdccfc7e5e47a8006303bc4119ac352bfa919848fc7a39953010547d3affa5",
+                "trace.csv": "97eafbe087c54fd7ade1facc545245506a2b413b8291a55839619c9416235804",
+            }),
+            ("simulate", dict(SIMULATE_CONFIG, policy="bq"), {
+                "manifest.json": "9f72a9dfd7546ea183a1b7abd9217323b481d21a57d57fb8c237923798ac894a",
+                "summary.json": "455f1da0a46de0b0b0cae341611f7872f6da8ca926af631297ef8205b93d0535",
+                "trace.csv": "f871d03cdfaba1130464a9040472a65fa7c9b301389ff7494fb22b89b06c269a",
+            }),
+            ("rs-grid", dict(README_CONFIG, advice_step=50,
+                             gamma_grid={"min": 0.0, "max": 0.5, "points": 5}), {
+                "manifest.json": "71e2dd67257f94c450b834998cd010ef03b84ce88293dd5fcd885c08dbf358d0",
+                "rs_grid.csv": "2efc6eeaae8fc95494127bce4716d6205b2bb251c0e0ebd06bda26ea28bbcdd5",
+            }),
+            ("robustness", SWEEP_CONFIG, {
+                "manifest.json": "96789bc02df611caddffd8682ac6905eec3effa70101ed347da385f7fa6cdcd4",
+                "sweep.csv": "8064a1f757ca98077f7fc81c28f67113f49a9870d6b1b90574473b27437cc32b",
+            }),
+        ],
+        ids=[
+            "frontier", "protect", "solve-lp", "simulate-lp_optimal", "simulate-lp_relaxed",
+            "simulate-optimal_pl", "simulate-bq", "rs-grid", "robustness",
+        ],
+    )
+    def test_output_digests(self, tmp_path, command, payload, digests):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == digests

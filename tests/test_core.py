@@ -53,6 +53,20 @@ class TestValidation:
             with pytest.raises(ValueError):
                 core.make_fare_ladder([1.0, bad], 3)
 
+    # float() read "124" as fares (1, 2, 4) and True as 1.
+    @pytest.mark.parametrize(
+        "bad", ["124", ["1", "2", "4"], [True, 2.0], [1.0, None], [1, 10**400]]
+    )
+    def test_fares_must_be_numbers(self, bad):
+        with pytest.raises(ValueError, match="finite numbers"):
+            core.make_fare_ladder(bad, 3)
+
+    def test_numpy_fares_accepted(self):
+        lad = core.make_fare_ladder([np.float32(1.5), np.int64(2)], 3)
+        assert lad.fares == (1.5, 2.0)
+        assert all(type(f) is float for f in lad.fares)
+        assert core.make_fare_ladder(np.array([1, 2]), 3).fares == (1.0, 2.0)
+
     def test_capacity_positive_integer(self):
         for bad in (0, 2.5, True, float("inf"), float("nan")):
             with pytest.raises(ValueError):
