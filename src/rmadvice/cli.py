@@ -254,6 +254,8 @@ def main(argv=None) -> int:
     try:
         if not 0.0 < args.epsilon < math.inf:
             raise ConfigError(f"--epsilon {args.epsilon!r} must be positive and finite")
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError(f"--seed {args.seed} must lie in [0, 2**64)")
         cfg = _load_config(args.config)
         files = _COMMANDS[args.command](cfg, args)
         files["manifest.json"] = _manifest(args.command, cfg, args.seed)

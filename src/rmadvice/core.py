@@ -165,6 +165,25 @@ def bq_bound(ladder: FareLadder) -> float:
     return 1.0 / total
 
 
+def largest_feasible(trial, lo: float, hi: float, epsilon: float):
+    """Bisect for the largest value at which ``trial`` succeeds, assuming
+    every value below a success succeeds.  ``trial(v)`` returns a witness,
+    or ``None`` where ``v`` fails; ``hi`` is never tried.  Halves until the
+    interval is no wider than ``epsilon`` or holds no double inside, and
+    returns the last success with its witness (``(lo, None)`` if none)."""
+    witness = trial(lo)
+    while witness is not None and hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no double left between the endpoints
+            break
+        found = trial(mid)
+        if found is None:
+            hi = mid
+        else:
+            lo, witness = mid, found
+    return lo, witness
+
+
 def opt_revenue(ladder: FareLadder, instance: Instance) -> float:
     """Offline optimum: revenue of the ``capacity`` highest fares present."""
     return float(count_opt(ladder, fare_counts(instance, ladder.m)))

@@ -145,7 +145,7 @@ def _policy_setup(
         if policy == "lp_relaxed" and relaxed_epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         eps = relaxed_epsilon if policy == "lp_relaxed" else 0.0
-        return derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma)), eps
+        return derive_switch_plan(lp.water_fill_plan(ladder, advice, gamma)), eps
     if policy == "optimal_pl":
         return protect.optimal_protection_levels(ladder, advice, gamma, epsilon)[0]
     if policy == "bq":
@@ -208,27 +208,20 @@ def robustness_sweep(
     of the protection-level policies.
     """
     rows: list[SweepRow] = []
-    for ai, advice in enumerate(advices):
+    # Built first, so that a bad noise level or trial count fails before set-up.
+    noises = [[NoiseConfig(float(v), trials, derive_key(seed, ai * 1024 + vi))
+               for vi, v in enumerate(v_list)] for ai in range(len(advices))]
+    for advice, advice_noises in zip(advices, noises):
         setups = [
             [_policy_setup(ladder, advice, p, float(gamma), epsilon) for p in policies]
             for gamma in gammas
         ]
-        for vi, v in enumerate(v_list):
-            noise = NoiseConfig(
-                v=float(v), trials=trials, seed=derive_key(seed, ai * 1024 + vi)
-            )
+        for noise in advice_noises:
             counts = sample_counts(ladder, advice, noise)
             for gamma, gamma_setups in zip(gammas, setups):
                 for policy, setup in zip(policies, gamma_setups):
-                    mean, std = _mean_std(
-                        _realized_ratios(ladder, advice, policy, setup, counts)
-                    )
-                    rows.append(
-                        SweepRow(
-                            v=float(v), gamma=float(gamma), policy=policy,
-                            mean_cr=mean, std_cr=std, trials=trials,
-                        )
-                    )
+                    mean, std = _mean_std(_realized_ratios(ladder, advice, policy, setup, counts))
+                    rows.append(SweepRow(noise.v, float(gamma), policy, mean, std, trials))
     return rows
 
 

@@ -42,23 +42,18 @@ def consistency_frontier(
 ) -> FrontierCurve:
     """Evaluate both consistency curves over a gamma grid.
 
-    ``beta_lp`` takes one LP solve per gamma, without the tie-break of
-    ``lp.solve_lp`` (which moves the plan, not beta), and its point must
-    pass ``lp.verify``.
+    ``beta_lp`` comes from ``lp.water_fill_plan``, whose point must pass
+    ``lp.verify``; the gamma-free part of the LP is built once.
     """
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(ladder)
     gammas = np.asarray(gamma_grid, dtype=float)
     beta_lp = np.empty_like(gammas)
     beta_pl = np.empty_like(gammas)
+    base = lp.build_pareto_lp(ladder, advice, 0.0)
     for i, g in enumerate(gammas):
-        model = lp.build_pareto_lp(ladder, advice, float(g))
-        result = lp.solve_beta(model)
-        lp.verify(model, result.status, result.x)
-        beta_lp[i] = result.x[0]
-        _, beta_pl[i] = protect.optimal_protection_levels(
-            ladder, advice, float(g), epsilon
-        )
+        beta_lp[i] = lp.water_fill_plan(ladder, advice, float(g), base).beta_star
+        _, beta_pl[i] = protect.optimal_protection_levels(ladder, advice, float(g), epsilon)
     return FrontierCurve(
         gammas=gammas,
         beta_lp=beta_lp,

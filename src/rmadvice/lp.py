@@ -24,7 +24,8 @@ needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +46,7 @@ class LPModel:
     capacity: int
     advice_opt_scaled: float  # advice revenue under the rescaled fares
     scaled_fares: tuple[float, ...] = ()
+    family_opt: np.ndarray | None = None  # Opt(prefix_k), then Opt(prefix_k + block_i)
 
 
 @dataclass
@@ -58,9 +60,20 @@ class LPSolution:
     max_violation: float = np.nan
 
 
-def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) -> LPModel:
-    """Assemble the LP for one (ladder, advice, gamma) triple."""
+def build_pareto_lp(
+    ladder: core.FareLadder, advice: core.Advice, gamma: float, base: LPModel | None = None
+) -> LPModel:
+    """Assemble the LP for one (ladder, advice, gamma) triple.  Only the rhs
+    depends on gamma: ``base``, a model of the same ladder and advice, lends
+    the rest, so that a gamma sweep builds it once."""
     core.check_gamma(ladder, gamma)
+    base = _gamma_free_part(ladder, advice) if base is None else base
+    m, opt, n = base.m, base.family_opt, float(base.capacity)
+    rhs = np.concatenate([np.full(m, n), gamma * opt[:m], [0.0], gamma * opt[m:]])
+    return replace(base, rhs=rhs, gamma=gamma)
+
+
+def _gamma_free_part(ladder: core.FareLadder, advice: core.Advice) -> LPModel:
     m = ladder.m
     n = ladder.capacity
     scale = ladder.fares[-1]
@@ -86,9 +99,6 @@ def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) 
             np.zeros((m * m, 1)), np.repeat(revenue, m, axis=0), fallback.reshape(m * m, m * m)
         ]),
     ])
-    rhs = np.concatenate([
-        np.full(m, float(n)), gamma * opt_prefix, [0.0], gamma * opt_continued.ravel()
-    ])
 
     nvars = 1 + m + m * m
     upper = np.full(nvars, np.inf)
@@ -101,18 +111,10 @@ def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) 
     labels = ["beta"] + [f"x_{j}" for j in range(1, m + 1)] + [
         f"y_{k}_{j}" for k in range(1, m + 1) for j in range(1, m + 1)
     ]
-    return LPModel(
-        objective=objective,
-        rows=rows,
-        senses=["<="] * m + [">="] * (m + 1 + m * m),
-        rhs=rhs,
-        upper=upper,
-        labels=labels,
-        m=m,
-        gamma=gamma,
-        capacity=n,
-        advice_opt_scaled=opt_advice,
-        scaled_fares=sf,
+    return LPModel(  # gamma and the rhs are set by ``build_pareto_lp``
+        objective=objective, rows=rows, senses=["<="] * m + [">="] * (m + 1 + m * m), rhs=None,
+        upper=upper, labels=labels, m=m, gamma=math.nan, capacity=n, advice_opt_scaled=opt_advice,
+        scaled_fares=sf, family_opt=np.concatenate([opt_prefix, opt_continued.ravel()]),
     )
 
 
@@ -198,6 +200,78 @@ def solve_lp(model: LPModel) -> LPSolution:
         m=m,
         max_violation=violation,
     )
+
+
+def water_fill_plan(
+    ladder: core.FareLadder, advice: core.Advice, gamma: float, base: LPModel | None = None
+) -> LPSolution:
+    """The LP's best beta and a plan attaining it, without a simplex: the
+    last double in [c(F), 1] that the water-fill pass passes, the pass's x,
+    and the least fallback y(k) for it, with the seats left unsold at class
+    m.  The point must pass ``verify``; a pass failing at c(F) raises
+    ``SolverError``.  ``base`` goes to ``build_pareto_lp``."""
+    model = build_pareto_lp(ladder, advice, gamma, base)
+    fill = _water_fill(model)
+    # The upper end is never tried: one double above 1 lets beta reach 1.
+    beta, x = core.largest_feasible(fill, core.bq_bound(ladder), math.nextafter(1.0, 2.0), 0.0)
+    if x is None:
+        raise SolverError(f"water-fill pass infeasible at gamma={gamma} and beta=c(F)")
+    m, f, x = model.m, np.array(model.scaled_fares), np.array(x)
+    paid = np.cumsum(f * x)[:, None]  # P_k, summed as in the pass
+    steps = np.zeros((m, m + 1))  # row k-1: S_0 = 0, then S_1..S_m of a trigger at k
+    steps[:, 1:] = np.maximum(0.0, model.rhs[2 * m + 1 :].reshape(m, m) - paid)
+    y = np.diff(steps) / f
+    y[:, -1] += np.maximum(0.0, model.capacity - np.cumsum(x) - y.sum(axis=1))
+    point = np.concatenate([[beta], x, y.ravel()])
+    return LPSolution("optimal", beta, x, y, gamma, m, verify(model, "optimal", point))
+
+
+def _water_fill(model: LPModel):
+    """The paper's water-filling at the model's gamma, as a function of
+    beta: the least phase-1 plan x (a list), or None where beta fails.
+
+    Classes fill in increasing order on top of the revenue P_{k-1} below:
+    x_k is the least amount reaching gamma Opt(prefix_k) and, with the
+    advised revenue T_k the classes above can still add, beta Opt(A).  A
+    trigger at k needs fallback revenue S_j = (gamma C_kj - P_k)^+ by
+    class j, C_kj = Opt(prefix_k + block_j); booking each step of S at its
+    own fare, y(k)_j = (S_j - S_{j-1}) / f_j, takes the fewest seats, sum_j
+    w_j S_j with w_j = 1/f_j - 1/f_{j+1} > 0 (summation by parts).  Beta
+    fails if x_k overflows its cap or a trigger row its n seats, with a
+    slack of 1e-12 n (relative to n: a rounding error on a zero cap is no
+    failure).  The lemma's induction shows that no feasible plan holds less
+    revenue than the pass below any class.  That the least fill also leaves
+    the most fallback room is not proved; the LP oracle tests (beta against
+    the simplex, feasibility monotone in beta) are the evidence.
+    """
+    m, n, f = model.m, float(model.capacity), model.scaled_fares
+    caps = model.upper[1 : 1 + m].tolist()
+    tails = [sum(c * fj for c, fj in zip(caps[k + 1 :], f[k + 1 :])) for k in range(m)]
+    weights = [1.0 / a - 1.0 / b for a, b in zip(f, f[1:])] + [1.0 / f[-1]]
+    targets = [list(zip(weights, t)) for t in model.rhs[2 * m + 1 :].reshape(m, m).tolist()]
+    classes = list(zip(f, caps, model.rhs[m : 2 * m].tolist(), tails, targets))
+    slack = 1e-12 * n
+
+    def fill(beta):
+        goal = beta * model.advice_opt_scaled
+        x, paid, seats = [], 0.0, 0.0
+        for fk, cap, floor, tail, fallback in classes:
+            need = max(floor, goal - tail) - paid
+            xk = need / fk if need > 0.0 else 0.0
+            if xk > cap + slack:
+                return None
+            x.append(min(xk, cap))
+            paid += fk * x[-1]
+            seats += x[-1]
+            used = seats  # with the least fallback after a trigger at k
+            for w, t in fallback:
+                if t > paid:
+                    used += w * (t - paid)
+            if used > n + slack:
+                return None
+        return x
+
+    return fill
 
 
 def optimal_consistency(

@@ -157,14 +157,9 @@ def derive_switch_plan(solution: lp.LPSolution) -> SwitchPlan:
     Base limits are partial sums of ``x``; fallback row ``k`` caps classes
     at the phase-1 limit frozen at ``k`` plus partial sums of ``y(k)``.
     """
-    m = solution.m
     base = np.cumsum(solution.x)
-    fallback = np.empty((m, m))
-    for k in range(1, m + 1):
-        ycum = np.cumsum(solution.y[k - 1])
-        for i in range(1, m + 1):
-            fallback[k - 1, i - 1] = base[min(i, k) - 1] + ycum[i - 1]
-    return SwitchPlan(base=base, fallback=fallback)
+    frozen = base[np.minimum.outer(np.arange(solution.m), np.arange(solution.m))]
+    return SwitchPlan(base=base, fallback=frozen + np.cumsum(solution.y, axis=1))
 
 
 def _switch_inputs(ladder, advice, plan, epsilon):
@@ -303,11 +298,11 @@ def run_lp_optimal(
 ) -> PolicyTrace:
     """Run the Pareto-optimal switching policy.
 
-    When ``plan`` is omitted the LP is solved internally for
+    When ``plan`` is omitted it comes from ``lp.water_fill_plan`` at
     ``(advice, gamma)``.
     """
     if plan is None:
-        plan = derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma))
+        plan = derive_switch_plan(lp.water_fill_plan(ladder, advice, gamma))
     return _run_switch(ladder, advice, instance, plan, 0.0)
 
 
@@ -328,7 +323,7 @@ def run_relaxed_optimal(
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if plan is None:
-        plan = derive_switch_plan(lp.optimal_consistency(ladder, advice, gamma))
+        plan = derive_switch_plan(lp.water_fill_plan(ladder, advice, gamma))
     return _run_switch(ladder, advice, instance, plan, epsilon)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import core
 from .policies import ProtectionLevels
@@ -111,22 +111,15 @@ def optimal_protection_levels(
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     core.check_gamma(ladder, gamma)
-    bound = core.bq_bound(ladder)
     terms = _advice_terms(ladder, advice)
-    lo = bound
-    candidate = grow_levels_for_beta(ladder, advice, gamma, lo, terms)
-    if not candidate.feasible:
+
+    def trial(beta):
+        candidate = grow_levels_for_beta(ladder, advice, gamma, beta, terms)
+        return candidate if candidate.feasible else None
+
+    lo, candidate = core.largest_feasible(trial, core.bq_bound(ladder), 1.0, epsilon)
+    if candidate is None:
         raise RuntimeError("growing pass infeasible at the worst-case bound")
-    hi = 1.0
-    while hi - lo > epsilon:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # no double left between the endpoints
-            break
-        trial = grow_levels_for_beta(ladder, advice, gamma, mid, terms)
-        if trial.feasible:
-            lo, candidate = mid, trial
-        else:
-            hi = mid
     n = float(ladder.capacity)
     levels = tuple(min(v, n) for v in candidate.levels)
     return ProtectionLevels(levels=levels), lo
@@ -139,14 +132,6 @@ def levels_to_json(
     candidate: LevelsCandidate,
 ) -> str:
     """Serialize an optimized level vector with its provenance."""
-    payload = {
-        "fares": list(ladder.fares),
-        "capacity": ladder.capacity,
-        "gamma": gamma,
-        "beta_lower": beta_lower,
-        "levels": list(candidate.levels),
-        "competitive_increments": list(candidate.competitive_increments),
-        "consistency_increments": list(candidate.consistency_increments),
-        "feasible": candidate.feasible,
-    }
+    payload = {"fares": ladder.fares, "capacity": ladder.capacity, "gamma": gamma,
+               "beta_lower": beta_lower, **asdict(candidate)}
     return json.dumps(payload, indent=2, default=float) + "\n"

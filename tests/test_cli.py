@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rmadvice import experiments, lp
+from rmadvice import experiments, lp, simplex
 from rmadvice.cli import main
 from rmadvice.simplex import SimplexResult
 
@@ -116,6 +116,8 @@ class TestExitCodes:
             ("frontier", dict(BASE, gamma_grid={"min": 0.0, "max": 0.5, "points": -1})),
             ("frontier", [BASE]),
             ("frontier", 5),
+            ("robustness --seed=-1", dict(BASE, gamma_grid=[0.2])),
+            ("robustness --seed=18446744073709551616", dict(BASE, gamma_grid=[0.2])),
         ],
         ids=[
             "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
@@ -128,12 +130,13 @@ class TestExitCodes:
             "advices-empty", "advices-object", "v-list-empty", "v-list-number",
             "gamma-bool", "gamma-text", "fares-text", "fares-text-entries", "fares-bool-entry",
             "grid-entry-text", "grid-min-text", "v-list-bool", "v-text", "grid-points-negative",
-            "config-list", "config-number",
+            "config-list", "config-number", "seed-negative", "seed-2-to-the-64",
         ],
     )
     def test_rejected_input(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
-        assert run_failing(tmp_path, command, cfg) == 2
+        command, *flags = command.split()
+        assert run_failing(tmp_path, command, cfg, *flags) == 2
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["frontier", "protect", "rs-grid", "robustness"])
@@ -157,11 +160,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "robustness", "solve-lp", "frontier"])
     def test_non_optimal_lp_is_numerical_failure(self, tmp_path, capsys, monkeypatch, command):
+        # solve-lp runs the simplex; the others take their plans from the
+        # water-fill pass, made to fail at every beta.
         def infeasible(model):
             nvars = model.rows.shape[1]
             return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
 
         monkeypatch.setattr(lp, "solve_beta", infeasible)
+        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: None)
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[3] * 12))
+        assert run_failing(tmp_path, command, cfg) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "robustness", "frontier"])
+    def test_violating_plan_is_numerical_failure(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(lp, "check_point", lambda model, point: 1.0)
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[3] * 12))
         assert run_failing(tmp_path, command, cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
@@ -331,7 +344,7 @@ class TestGolden:
         "command, payload, digests",
         [
             ("frontier", README_CONFIG, {
-                "frontier.csv": "617d7f526a2d9c6e2cdbcd57d1890611624d418fa833892c7ef30bc03796b13d",
+                "frontier.csv": "0170ee3561f7462066ad811e87ee81e82466dee3368a45a0d0e29aa4e120900b",
                 "manifest.json": "683117d6c87219ce8519cd86f5d61623aa3b37d0c66541e172e5913bae056ad0",
             }),
             ("protect", README_CONFIG, {
@@ -345,13 +358,13 @@ class TestGolden:
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="lp_optimal"), {
                 "manifest.json": "ac3cadf38af8df00938fb0d0b4dec28b5ccd2aad80453631790561b6e6aa5abd",
-                "summary.json": "2148aefddc4e45e54a26b695ff9abcdcb29a809c2da96273a97eacf2eded8a86",
-                "trace.csv": "270b6f274369bb747465d360f94b2e10862ef7579f5066c1a82b97f75e68321c",
+                "summary.json": "e9a7b458b465f4492fa88cd46a8e83313b9f0be433b5d7b1229f4aac2ded2c7f",
+                "trace.csv": "82fc8c40e18b1a5d621ee35b0b21f01bf024582ac04364a969c3f0fedf3cc86f",
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="lp_relaxed"), {
                 "manifest.json": "2b4a44219ac228a883cf6fb5cdfe45745aa3e3403b48ac3cc4e11da137c4c5da",
-                "summary.json": "a7e7dcc7f963ffd2897557a39c12a2963ee87965c873070f3dbdb895e223680b",
-                "trace.csv": "270b6f274369bb747465d360f94b2e10862ef7579f5066c1a82b97f75e68321c",
+                "summary.json": "65826044d18e25d8b6551d0c3cc6b1c235c7a150d808eb9a16f3f4952e455f50",
+                "trace.csv": "82fc8c40e18b1a5d621ee35b0b21f01bf024582ac04364a969c3f0fedf3cc86f",
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="optimal_pl"), {
                 "manifest.json": "2a4ab420f128a81d2578870aea9a555d8f731715aecab6caaafe44f9c987d20a",
@@ -366,11 +379,11 @@ class TestGolden:
             ("rs-grid", dict(README_CONFIG, advice_step=50,
                              gamma_grid={"min": 0.0, "max": 0.5, "points": 5}), {
                 "manifest.json": "71e2dd67257f94c450b834998cd010ef03b84ce88293dd5fcd885c08dbf358d0",
-                "rs_grid.csv": "2efc6eeaae8fc95494127bce4716d6205b2bb251c0e0ebd06bda26ea28bbcdd5",
+                "rs_grid.csv": "85682c102b3e350d88faef9605ba29c19450e21a267089a782f34d231b5e445c",
             }),
             ("robustness", SWEEP_CONFIG, {
                 "manifest.json": "96789bc02df611caddffd8682ac6905eec3effa70101ed347da385f7fa6cdcd4",
-                "sweep.csv": "8064a1f757ca98077f7fc81c28f67113f49a9870d6b1b90574473b27437cc32b",
+                "sweep.csv": "fc1dd240dc18e52238b2063f3486bf1f628700fea7eddab2261bad7784073b80",
             }),
         ],
         ids=[
@@ -384,3 +397,27 @@ class TestGolden:
         assert main([command, "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == digests
+
+
+class TestNoSimplex:
+    """frontier, rs-grid, simulate and robustness take their plans from the
+    water-fill pass; only solve-lp runs the simplex."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("frontier", README_CONFIG),
+            ("rs-grid", dict(README_CONFIG, advice_step=50, gamma_grid=[0.0, 0.25, 0.5])),
+            ("simulate", dict(SIMULATE_CONFIG, policy="lp_optimal")),
+            ("simulate", dict(SIMULATE_CONFIG, policy="lp_relaxed")),
+            ("robustness", SWEEP_CONFIG),
+        ],
+    )
+    def test_plans_need_no_simplex(self, tmp_path, monkeypatch, command, payload):
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("simplex called")
+
+        monkeypatch.setattr(simplex, "solve_simplex", no_simplex)
+        monkeypatch.setattr(lp, "solve_simplex", no_simplex)
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0

@@ -108,7 +108,7 @@ class TestSampling:
 def replayed_ratios(lad, adv, policy, gamma, noise, relaxed_epsilon=0.1):
     """Per-trial realized ratios from the step-by-step runners."""
     if policy in ("lp_optimal", "lp_relaxed"):
-        plan = derive_switch_plan(lp.optimal_consistency(lad, adv, gamma))
+        plan = derive_switch_plan(lp.water_fill_plan(lad, adv, gamma))
     elif policy == "optimal_pl":
         levels, _ = protect.optimal_protection_levels(lad, adv, gamma)
     else:
@@ -223,9 +223,9 @@ class TestSweep:
 
     def test_plans_and_levels_set_up_once_per_advice_and_gamma(self, monkeypatch):
         # The criterion-10 noise sweep: 3 advices x 10 noise levels at one
-        # gamma needs one LP solve and one level search per advice.
+        # gamma needs one LP plan and one level search per advice.
         calls = {"lp": 0, "levels": 0}
-        solve, search = lp.optimal_consistency, protect.optimal_protection_levels
+        solve, search = lp.water_fill_plan, protect.optimal_protection_levels
 
         def counting_solve(*args, **kwargs):
             calls["lp"] += 1
@@ -235,7 +235,7 @@ class TestSweep:
             calls["levels"] += 1
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(lp, "optimal_consistency", counting_solve)
+        monkeypatch.setattr(lp, "water_fill_plan", counting_solve)
         monkeypatch.setattr(protect, "optimal_protection_levels", counting_search)
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
         advices = [core.make_advice(lad, a) for a in ([70, 20, 10], [15, 70, 15], [10, 20, 70])]
@@ -245,6 +245,18 @@ class TestSweep:
         )
         assert len(rows) == 3 * 10 * 3
         assert calls == {"lp": 3, "levels": 3}
+
+    @pytest.mark.parametrize("v_list, trials", [([0.5, 1.5], 5), ([-0.1], 5), ([0.5], 0)])
+    def test_bad_noise_fails_before_any_set_up(self, monkeypatch, v_list, trials):
+        calls = []
+        setup = experiments._policy_setup
+        monkeypatch.setattr(
+            experiments, "_policy_setup", lambda *a, **k: calls.append(a) or setup(*a, **k)
+        )
+        lad, adv = setup_case()
+        with pytest.raises(ValueError):
+            robustness_sweep(lad, [adv, adv], gammas=[0.2], v_list=v_list, trials=trials, seed=0)
+        assert calls == []
 
     def test_cells_match_average_cr(self):
         # one sample per (advice, v) cell, reused by every gamma and policy

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rmadvice import core, frontier, lp
-from rmadvice.simplex import SimplexResult
 
 from .oracles import same_bits
+from .test_core import relative_gap
 
 
 class TestGammaGrid:
@@ -49,15 +49,16 @@ class TestFrontierCurve:
         "fares, n, counts",
         [([1.0, 2.0, 4.0], 10, [0, 3, 7]), ([1.0, 1.7, 2.9, 5.3], 40, [9, 11, 7, 13])],
     )
-    def test_beta_lp_is_the_lp_optimum_bitwise(self, fares, n, counts):
-        # One solve per gamma, without the tie-break: beta must be the same
-        # bits as the full lexicographic solve's beta*.
+    def test_beta_lp_agrees_with_the_lp_optimum(self, fares, n, counts):
+        # beta_lp is the water-fill plan's beta, which agrees with the
+        # simplex's beta* to 1e-9 relative at every grid point.
         lad = core.make_fare_ladder(fares, n)
         adv = core.make_advice(lad, counts)
         grid = frontier.default_gamma_grid(lad, 11)
         curve = frontier.consistency_frontier(lad, adv, grid)
         for g, beta in zip(grid, curve.beta_lp):
-            assert same_bits(beta, lp.optimal_consistency(lad, adv, float(g)).beta_star)
+            assert same_bits(beta, lp.water_fill_plan(lad, adv, float(g)).beta_star)
+            assert relative_gap(beta, lp.optimal_consistency(lad, adv, float(g)).beta_star) <= 1e-9
 
     @pytest.mark.parametrize("violation", [1.0, 2e-9, float("nan")])
     def test_violating_lp_point_raises(self, monkeypatch, violation):
@@ -68,11 +69,11 @@ class TestFrontierCurve:
             frontier.consistency_frontier(lad, adv, [0.0, 0.5])
 
     def test_non_optimal_lp_raises(self, monkeypatch):
+        # The water-fill pass fails at every beta, c(F) included.
         lad = core.make_fare_ladder([1.0, 2.0], 2)
         adv = core.make_advice(lad, [0, 2])
-        failed = SimplexResult(status="infeasible", objective=np.nan, x=np.full(7, np.nan))
-        monkeypatch.setattr(lp, "solve_beta", lambda model: failed)
-        with pytest.raises(RuntimeError, match="not optimal"):
+        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: None)
+        with pytest.raises(RuntimeError, match="infeasible"):
             frontier.consistency_frontier(lad, adv, [0.0, 0.5])
 
 

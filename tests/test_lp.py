@@ -276,3 +276,96 @@ class TestArrayForms:
         first = lp.solve_beta(model)
         assert first.status == "optimal"
         assert same_bits(first.x[0], lp.solve_lp(model).beta_star)
+
+
+class TestWaterFill:
+    """``water_fill_plan`` against the simplex: the LP oracle for the part
+    of the water-fill argument that is not proved."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(
+        # up to 16 classes in one case of ten, since their simplex solves are slow
+        case=st.sampled_from((8,) * 9 + (16,)).flatmap(
+            lambda max_m: ladders_and_advice(max_m=max_m, max_n=100)
+        ),
+        where=st.sampled_from(("zero", "bound", "interior")),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_beta_agrees_with_simplex(self, case, where, share):
+        lad, adv = case
+        bound = core.bq_bound(lad)
+        gamma = {"zero": 0.0, "bound": bound, "interior": share * bound}[where]
+        plan = lp.water_fill_plan(lad, adv, gamma)
+        model = lp.build_pareto_lp(lad, adv, gamma)
+        # solve_beta is the first solve of solve_lp, which takes its beta*
+        assert relative_gap(plan.beta_star, lp.solve_beta(model).x[0]) <= 1e-9
+        point = np.concatenate([[plan.beta_star], plan.x, plan.y.ravel()])
+        assert lp.check_point(model, point) == plan.max_violation <= 1e-9
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        case=ladders_and_advice(max_m=8, max_n=100),
+        share=st.floats(0.0, 1.0),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_feasibility_is_monotone_in_beta(self, case, share, shares):
+        # The bisection needs every beta below a feasible one to be feasible:
+        # the pass succeeds exactly below beta*.  Within 1e-8 of beta* the
+        # seat test sits on its 1e-12 n slack and rounding decides (one ulp
+        # below beta* fails at fares (1, 2, 5, 6), n = 7, advice (0, 0, 7, 0),
+        # gamma = c(F)), so that band is left out.
+        lad, adv = case
+        bound = core.bq_bound(lad)
+        model = lp.build_pareto_lp(lad, adv, share * bound)
+        fill = lp._water_fill(model)
+        beta = lp.water_fill_plan(lad, adv, model.gamma).beta_star
+        betas = [bound + s * (1.0 - bound) for s in shares] + [1.0, beta * (1 - 2e-8)]
+        betas = sorted(b for b in betas if bound <= b and abs(b - beta) > 1e-8 * beta)
+        assert [fill(b) is not None for b in betas] == [b < beta for b in betas]
+        assert fill(bound) is not None and fill(beta) is not None
+
+    def test_zero_cap_rounding_is_not_a_failure(self):
+        # Classes 2 and 5 lie above the lowest advised class with count 0,
+        # so their cap is 0; their consistency term rounds to about +1e-16.
+        # A slack relative to the cap makes beta fail there, feasibility
+        # non-monotone, and the bisection stop at 0.7998.
+        fares = [0.5127383149094269, 2.567087989921003, 2.912939627211326,
+                 3.2389749209789476, 5.581050032647681, 5.9134242150629275]
+        lad = core.make_fare_ladder(fares, 10)
+        adv = core.make_advice(lad, [3, 0, 1, 5, 0, 1])
+        gamma = 0.39492541833378997
+        plan = lp.water_fill_plan(lad, adv, gamma)
+        beta_star = lp.optimal_consistency(lad, adv, gamma).beta_star
+        assert relative_gap(plan.beta_star, beta_star) <= 1e-9
+        assert plan.beta_star == pytest.approx(0.91084, abs=1e-5)
+        fill = lp._water_fill(lp.build_pareto_lp(lad, adv, gamma))
+        assert all(fill(b) is not None for b in np.linspace(core.bq_bound(lad), beta_star, 200))
+
+    def test_infeasible_pass_raises(self, monkeypatch):
+        lad, adv = tiny()
+        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: None)
+        with pytest.raises(lp.SolverError, match="infeasible"):
+            lp.water_fill_plan(lad, adv, 0.5)
+
+    def test_plan_fills_every_trigger_row(self):
+        # The seats a trigger row leaves unsold go to the top class, as the
+        # simplex's tie-break puts them.
+        lad, adv = big_gap()
+        plan = lp.water_fill_plan(lad, adv, 1.0 / 3.0)
+        ref = lp.optimal_consistency(lad, adv, 1.0 / 3.0)
+        assert np.cumsum(plan.x) + plan.y.sum(axis=1) == pytest.approx([90.0] * 3)
+        assert np.cumsum(plan.x) == pytest.approx(np.cumsum(ref.x), abs=1e-6)
+        assert np.cumsum(plan.y, axis=1) == pytest.approx(np.cumsum(ref.y, axis=1), abs=1e-6)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(case=ladders_and_advice(max_m=6, max_n=40), shares=st.lists(st.floats(0.0, 1.0)))
+    def test_rhs_rebuild_matches_fresh_build_bitwise(self, case, shares):
+        lad, adv = case
+        base = lp.build_pareto_lp(lad, adv, 0.0)
+        for share in shares:
+            gamma = share * core.bq_bound(lad)
+            fresh = lp.build_pareto_lp(lad, adv, gamma)
+            rebuilt = lp.build_pareto_lp(lad, adv, gamma, base)
+            for name in ("objective", "rows", "rhs", "upper"):
+                assert same_bits(getattr(rebuilt, name), getattr(fresh, name))
+            assert rebuilt.gamma == gamma
