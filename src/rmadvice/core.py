@@ -166,22 +166,83 @@ def bq_bound(ladder: FareLadder) -> float:
 
 
 def largest_feasible(trial, lo: float, hi: float, epsilon: float):
-    """Bisect for the largest value at which ``trial`` succeeds, assuming
-    every value below a success succeeds.  ``trial(v)`` returns a witness,
-    or ``None`` where ``v`` fails; ``hi`` is never tried.  Halves until the
-    interval is no wider than ``epsilon`` or holds no double inside, and
-    returns the last success with its witness (``(lo, None)`` if none)."""
-    witness = trial(lo)
-    while witness is not None and hi - lo > epsilon:
+    """The value a bisection for the largest success of ``trial`` returns,
+    found in a few trials on a piecewise-linear test.
+
+    ``trial(v)`` returns ``(witness, root)``: the witness, or ``None`` where
+    ``v`` fails, and the root that ``v``'s linear piece predicts: for a
+    success, where its first check reaches its limit; for a failure, where
+    the failed check does (``inf``/``-inf`` where the check does not move
+    toward its limit on the piece, NaN where nothing is known).  Every
+    value below a success is taken to succeed; ``hi`` is never tried.
+
+    The answer is the bisection's: halve [lo, hi] until it is no wider than
+    ``epsilon`` or holds no double inside, and return the last success with
+    its witness (``(lo, None)`` if ``lo`` fails).  The trials keep a bracket
+    ``good`` (succeeds) < ``bad`` (fails); a midpoint in it needs a trial,
+    any other is decided by comparison.  That trial goes to the newer end's
+    predicted root, else the older end's, moved inside the bracket; where a
+    root sits on an end it steps off it, twice as far each time, since
+    rounding can hold a check at its limit over a few doubles.  A flat or
+    curved run of pieces can make predictions crawl, so once the trials
+    exceed the midpoints decided so far by three, a trial goes to a
+    predicted root only where success there would decide the midpoint, and
+    else to the midpoint, until free decisions pay the excess back.  No
+    search makes more than four trials beyond the bisection's: an excess of
+    four, or of three and one trial for the witness of an end that no trial
+    hit, which only an ``epsilon`` wider than a double's spacing can leave.
+    """
+    witness, root = trial(lo)
+    if witness is None:
+        return lo, None
+    first, good, good_witness, bad = lo, lo, witness, hi
+    roots = [root, math.nan]  # the predictions of the trials at good and bad
+    newer = 0  # which end was tried last
+    debt = 0  # trials made, less midpoints decided
+    spare = 3 if epsilon > 0.0 else 4  # the excess allowed
+    step = 0.0
+    while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # no double left between the endpoints
             break
-        found = trial(mid)
+        if not good < mid < bad:
+            debt -= 1
+            if mid <= good:
+                lo = mid
+            else:
+                hi = mid
+            continue
+        guess, root, other = mid, roots[newer], roots[1 - newer]
+        if debt < 3:
+            if good < root < bad:
+                guess = root
+            elif root in (good, bad):
+                step = 2.0 * step or math.ulp(root)
+                guess = min(good + step, mid) if root == good else max(bad - step, mid)
+            elif good < other < bad:
+                guess = other
+            elif root > bad:
+                guess = math.nextafter(bad, good)
+            elif root < good:
+                guess = math.nextafter(good, bad)
+        elif debt < spare and min(root, math.nextafter(bad, good)) >= mid:
+            guess = min(root, math.nextafter(bad, good))
+        found, root = trial(guess)
+        debt += 1
+        newer = int(found is None)
+        roots[newer] = root
         if found is None:
-            hi = mid
+            bad = guess
         else:
-            lo, witness = mid, found
-    return lo, witness
+            good, good_witness = guess, found
+        if math.nextafter(good, bad) == bad and bad - good > epsilon:
+            lo = good  # the halving can only end at [good, bad]
+            break
+    if lo == good:
+        return lo, good_witness
+    if lo == first:
+        return lo, witness
+    return lo, trial(lo)[0]
 
 
 def opt_revenue(ladder: FareLadder, instance: Instance) -> float:

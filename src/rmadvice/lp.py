@@ -168,7 +168,8 @@ def solve_lp(model: LPModel) -> LPSolution:
     beta at its optimum (within 1e-9) and maximizes the revenue-weighted
     fallback mass, so the policy derived from the solution keeps selling
     after a switch whenever the constraints allow it.  The returned point
-    passes ``verify``, else ``SolverError`` is raised.
+    passes ``verify``, else ``SolverError`` is raised; a tie-break point
+    that fails it gives way to the first solve's point.
     """
     result = solve_beta(model)
     m = model.m
@@ -190,7 +191,13 @@ def solve_lp(model: LPModel) -> LPSolution:
         )
         if refined.status == "optimal":
             point = refined.x
-    violation = verify(model, result.status, point)
+    try:
+        violation = verify(model, result.status, point)
+    except SolverError:
+        if point is result.x:
+            raise
+        point = result.x
+        violation = verify(model, result.status, point)
     return LPSolution(
         status="optimal",
         beta_star=beta_star,
@@ -206,16 +213,20 @@ def water_fill_plan(
     ladder: core.FareLadder, advice: core.Advice, gamma: float, base: LPModel | None = None
 ) -> LPSolution:
     """The LP's best beta and a plan attaining it, without a simplex: the
-    last double in [c(F), 1] that the water-fill pass passes, the pass's x,
+    largest beta in [c(F), 1] that the water-fill pass passes, the pass's x,
     and the least fallback y(k) for it, with the seats left unsold at class
-    m.  The point must pass ``verify``; a pass failing at c(F) raises
+    m.  ``core.largest_feasible`` finds the last passing double from the
+    pass's predicted roots; beta is then pulled back from it to the
+    slack-free root of its binding check where that lies on its piece.
+    The point must pass ``verify``; a pass failing at c(F) raises
     ``SolverError``.  ``base`` goes to ``build_pareto_lp``."""
     model = build_pareto_lp(ladder, advice, gamma, base)
     fill = _water_fill(model)
     # The upper end is never tried: one double above 1 lets beta reach 1.
-    beta, x = core.largest_feasible(fill, core.bq_bound(ladder), math.nextafter(1.0, 2.0), 0.0)
-    if x is None:
+    _, found = core.largest_feasible(fill, core.bq_bound(ladder), math.nextafter(1.0, 2.0), 0.0)
+    if found is None:
         raise SolverError(f"water-fill pass infeasible at gamma={gamma} and beta=c(F)")
+    x, beta = found
     m, f, x = model.m, np.array(model.scaled_fares), np.array(x)
     paid = np.cumsum(f * x)[:, None]  # P_k, summed as in the pass
     steps = np.zeros((m, m + 1))  # row k-1: S_0 = 0, then S_1..S_m of a trigger at k
@@ -227,8 +238,8 @@ def water_fill_plan(
 
 
 def _water_fill(model: LPModel):
-    """The paper's water-filling at the model's gamma, as a function of
-    beta: the least phase-1 plan x (a list), or None where beta fails.
+    """The paper's water-filling at the model's gamma, as a trial of beta
+    for ``core.largest_feasible``.
 
     Classes fill in increasing order on top of the revenue P_{k-1} below:
     x_k is the least amount reaching gamma Opt(prefix_k) and, with the
@@ -243,33 +254,88 @@ def _water_fill(model: LPModel):
     revenue than the pass below any class.  That the least fill also leaves
     the most fallback room is not proved; the LP oracle tests (beta against
     the simplex, feasibility monotone in beta) are the evidence.
+
+    Every quantity above is piecewise linear in beta.  The pass carries
+    each running value's slope on beta's piece (the ``d`` names) beside the
+    value, whose arithmetic it leaves as it is, and the piece's lower end
+    ``low``: the nearest beta below at which a max, a clamp or a fallback
+    term switches.  A failing beta returns ``(None, root)``, the root of
+    the check that failed on its piece; a passing one ``((x, settle),
+    root)``, with ``root`` where its first check reaches its limit and
+    ``settle`` the slack-free root of that binding check, or beta itself
+    where that root lies above beta or below the check's piece (on another
+    piece the line says nothing, and a near-flat one can throw it far).  A
+    root short of the piece by rounding alone settles at the piece's end.
     """
     m, n, f = model.m, float(model.capacity), model.scaled_fares
+    opt_advice = model.advice_opt_scaled
     caps = model.upper[1 : 1 + m].tolist()
+    floors = model.rhs[m : 2 * m].tolist()
     tails = [sum(c * fj for c, fj in zip(caps[k + 1 :], f[k + 1 :])) for k in range(m)]
+    # beta at which the consistency term overtakes gamma Opt(prefix_k)
+    bends = [(floor + tail) / opt_advice for floor, tail in zip(floors, tails)]
     weights = [1.0 / a - 1.0 / b for a, b in zip(f, f[1:])] + [1.0 / f[-1]]
     targets = [list(zip(weights, t)) for t in model.rhs[2 * m + 1 :].reshape(m, m).tolist()]
-    classes = list(zip(f, caps, model.rhs[m : 2 * m].tolist(), tails, targets))
+    classes = list(zip(f, caps, floors, tails, targets, bends))
     slack = 1e-12 * n
+    inf = math.inf
 
     def fill(beta):
-        goal = beta * model.advice_opt_scaled
+        goal = beta * opt_advice
         x, paid, seats = [], 0.0, 0.0
-        for fk, cap, floor, tail, fallback in classes:
+        dpaid = dseats = 0.0
+        low = -inf
+        ahead, drop, drop_low = inf, 0.0, -inf  # the binding check so far
+        for fk, cap, floor, tail, fallback, bend in classes:
             need = max(floor, goal - tail) - paid
-            xk = need / fk if need > 0.0 else 0.0
+            dneed = -dpaid
+            if goal - tail > floor:
+                dneed += opt_advice
+                low = max(low, bend)
+            if need > 0.0:
+                xk = need / fk
+                dx = dneed / fk
+                if dx > 0.0:
+                    low = max(low, beta - xk / dx)
+            else:
+                xk = dx = 0.0
             if xk > cap + slack:
-                return None
+                return None, beta - (xk - cap - slack) / dx if dx > 0.0 else -inf
+            if dx > 0.0 and (cap + slack - xk) / dx < ahead:
+                ahead, drop, drop_low = (cap + slack - xk) / dx, (cap - xk) / dx, low
+            if xk > cap:  # within the slack: x_k stays at its cap
+                if dx > 0.0:
+                    low = max(low, beta - (xk - cap) / dx)
+                dx = 0.0
             x.append(min(xk, cap))
             paid += fk * x[-1]
             seats += x[-1]
+            dpaid += fk * dx
+            dseats += dx
             used = seats  # with the least fallback after a trigger at k
+            weight, below = 0.0, -inf  # active weight; the largest inactive target
             for w, t in fallback:
                 if t > paid:
                     used += w * (t - paid)
+                    weight += w
+                elif t > below:
+                    below = t
+            dused = dseats - weight * dpaid
+            if dpaid > 0.0 and below > -inf:
+                low = max(low, beta - (paid - below) / dpaid)
             if used > n + slack:
-                return None
-        return x
+                return None, beta - (used - n - slack) / dused if dused > 0.0 else -inf
+            if dused > 0.0 and (n + slack - used) / dused < ahead:
+                ahead, drop, drop_low = (n + slack - used) / dused, (n - used) / dused, low
+        settle = beta
+        if drop < 0.0:  # beta passes on the slack alone: pull it back
+            if beta + drop >= drop_low:
+                settle = beta + drop
+            elif drop_low - beta - drop <= -1e-3 * drop:
+                # Short of the piece by rounding (the checks are off by
+                # about 1e-16 n, the slack is 1e-12 n): the root is its end.
+                settle = min(drop_low, beta)
+        return (x, settle), beta + ahead
 
     return fill
 

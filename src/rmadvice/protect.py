@@ -5,8 +5,8 @@ consistency ``beta_pl`` generally falls short of the LP optimum.  This
 module finds it: a forward pass grows the levels class by class with the
 minimal increments that (a) keep the policy ``gamma``-competitive on every
 all-fares block instance and (b) reach a target consistency ``beta`` on the
-advice-shaped instance; a binary search then finds the largest feasible
-``beta`` (levels fitting within capacity).
+advice-shaped instance; a root search on the pass's linear pieces then
+finds the largest feasible ``beta`` (levels fitting within capacity).
 
 The pass is the greedy water-filling of the paper's lemma.  Each class
 fills on top of the classes below it, so the pass keeps two running
@@ -32,6 +32,10 @@ class LevelsCandidate:
     competitive_increments: tuple[float, ...]  # per-class, for the gamma target
     consistency_increments: tuple[float, ...]  # per-class, for the beta target
     feasible: bool  # top level fits within capacity
+    # Beta at which the top level meets capacity on this pass's linear
+    # piece: above beta where feasible, below it where not; +-inf where the
+    # level does not grow with beta.  Not serialized.
+    root: float = math.nan
 
 
 def grow_levels_for_beta(
@@ -50,6 +54,10 @@ def grow_levels_for_beta(
     the smallest amount closing that consistency gap.  ``terms`` carries
     the per-advice inputs (``_advice_terms``) across the passes of one
     search; they are computed here when omitted.
+
+    Every quantity is piecewise linear in ``beta``, so each running value
+    carries its slope on ``beta``'s piece (the ``d`` names): they give the
+    candidate's ``root`` and leave the values' arithmetic as it is.
     """
     n = float(ladder.capacity)
     caps, opt_advice, tails = _advice_terms(ladder, advice) if terms is None else terms
@@ -58,29 +66,50 @@ def grow_levels_for_beta(
     # ``have``/``q`` on the all-fares block (n seats per class),
     # ``have_advice``/``q_advice`` on the advice prefix (the caps).
     have = q = have_advice = q_advice = level = 0.0
+    dhave = dq = dhave_advice = dq_advice = dlevel = 0.0
     grown = []  # (level, competitive, consistency increment) per class
     for fk, cap, tail in zip(ladder.fares, caps, tails):
         # gamma * n * fk is gamma times the block instance's offline optimum.
         comp = max(0.0, (gamma * n * fk - have) / fk)
         level += comp
-        reach = have_advice + min(cap, max(0.0, level - q_advice)) * fk
+        if comp > 0.0:
+            dlevel -= dhave / fk
+        room = level - q_advice
+        reach = have_advice + min(cap, max(0.0, room)) * fk
+        dreach = dhave_advice + ((dlevel - dq_advice) * fk if 0.0 < room < cap else 0.0)
         cons = 0.0
         if reach + tail < goal:
             cons = (goal - reach - tail) / fk
             level += cons
+            dlevel += (opt_advice - dreach) / fk
         grown.append((level, comp, cons))
-        take = min(n, max(0.0, level - q))
+        room = level - q
+        take = min(n, max(0.0, room))
+        dtake = dlevel - dq if 0.0 < room < n else 0.0
         have += take * fk
+        dhave += dtake * fk
         q += take
-        take = min(cap, max(0.0, level - q_advice))
+        dq += dtake
+        room = level - q_advice
+        take = min(cap, max(0.0, room))
+        dtake = dlevel - dq_advice if 0.0 < room < cap else 0.0
         have_advice += take * fk
+        dhave_advice += dtake * fk
         q_advice += take
+        dq_advice += dtake
     levels, comp_inc, cons_inc = zip(*grown)
+    limit = n + 1e-9 * max(1.0, n)
+    feasible = bool(level <= limit)  # top level fits
+    if dlevel > 0.0:
+        root = beta + (limit - level) / dlevel
+    else:
+        root = math.inf if feasible else -math.inf
     return LevelsCandidate(
         levels=levels,
         competitive_increments=comp_inc,
         consistency_increments=cons_inc,
-        feasible=bool(level <= n + 1e-9 * max(1.0, n)),  # top level fits
+        feasible=feasible,
+        root=root,
     )
 
 
@@ -100,13 +129,13 @@ def optimal_protection_levels(
     gamma: float,
     epsilon: float = 1e-6,
 ) -> tuple[ProtectionLevels, float]:
-    """Binary-search the largest consistency attainable at ratio ``gamma``.
-
-    Searches ``beta`` over ``[bq_bound, 1]`` to accuracy ``epsilon``, or
-    until no double lies between the endpoints, and returns the levels
+    """The largest consistency attainable at ratio ``gamma``, as a
+    bisection of ``beta`` over ``[bq_bound, 1]`` to accuracy ``epsilon``
+    (or until no double lies between the endpoints) finds it: the levels
     grown at the proven-feasible lower endpoint together with that
     endpoint (a consistency guarantee, within ``epsilon`` of the true
-    protection-level optimum).
+    protection-level optimum).  ``core.largest_feasible`` finds that
+    endpoint from the passes' predicted roots, in a few passes.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -115,11 +144,11 @@ def optimal_protection_levels(
 
     def trial(beta):
         candidate = grow_levels_for_beta(ladder, advice, gamma, beta, terms)
-        return candidate if candidate.feasible else None
+        return (candidate if candidate.feasible else None), candidate.root
 
     lo, candidate = core.largest_feasible(trial, core.bq_bound(ladder), 1.0, epsilon)
     if candidate is None:
-        raise RuntimeError("growing pass infeasible at the worst-case bound")
+        raise RuntimeError(f"growing pass infeasible at beta={lo!r}")
     n = float(ladder.capacity)
     levels = tuple(min(v, n) for v in candidate.levels)
     return ProtectionLevels(levels=levels), lo
@@ -134,4 +163,5 @@ def levels_to_json(
     """Serialize an optimized level vector with its provenance."""
     payload = {"fares": ladder.fares, "capacity": ladder.capacity, "gamma": gamma,
                "beta_lower": beta_lower, **asdict(candidate)}
+    del payload["root"]
     return json.dumps(payload, indent=2, default=float) + "\n"

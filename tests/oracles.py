@@ -414,9 +414,64 @@ def protection_consistency(ladder, advice, gamma, epsilon=1e-6):
     return revenue / core.advice_opt(ladder, advice)
 
 
-def expected_search_passes(ladder, epsilon):
-    """Number of bisection passes the protection-level search performs."""
-    return max(0, math.ceil(math.log2((1.0 - core.bq_bound(ladder)) / epsilon)))
+def bisect_largest_feasible(trial, lo, hi, epsilon):
+    """Reference bisection for the largest success of ``trial``, which
+    returns a witness or ``None`` where its value fails; ``hi`` is never
+    tried.  Halves until the interval is no wider than ``epsilon`` or holds
+    no double inside, and returns ``(value, witness, trials)``: the last
+    success with its witness (``(lo, None, 1)`` if ``lo`` fails) and the
+    number of trials made.  ``core.largest_feasible`` must return the same
+    value on a test that is monotone."""
+    witness, trials = trial(lo), 1
+    while witness is not None and hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no double left between the endpoints
+            break
+        found = trial(mid)
+        trials += 1
+        if found is None:
+            hi = mid
+        else:
+            lo, witness = mid, found
+    return lo, witness, trials
+
+
+def reference_protection_levels(ladder, advice, gamma, epsilon=1e-6):
+    """The protection-level search as a bisection over the growing pass:
+    ``(levels, beta_lower, passes)``, with the levels capped at capacity as
+    ``protect.optimal_protection_levels`` returns them."""
+    terms = protect._advice_terms(ladder, advice)
+
+    def trial(beta):
+        candidate = protect.grow_levels_for_beta(ladder, advice, gamma, beta, terms)
+        return candidate if candidate.feasible else None
+
+    lo, candidate, passes = bisect_largest_feasible(trial, core.bq_bound(ladder), 1.0, epsilon)
+    n = float(ladder.capacity)
+    return tuple(min(v, n) for v in candidate.levels), lo, passes
+
+
+def reference_water_fill_beta(ladder, advice, gamma):
+    """The last double in [c(F), 1] that the water-fill pass passes, by
+    bisection, and the number of passes: ``(beta, passes)``."""
+    fill = lp._water_fill(lp.build_pareto_lp(ladder, advice, gamma))
+    beta, _, passes = bisect_largest_feasible(
+        lambda b: fill(b)[0], core.bq_bound(ladder), math.nextafter(1.0, 2.0), 0.0
+    )
+    return beta, passes
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to count its calls; returns the live count,
+    a one-item list."""
+    original, calls = getattr(owner, name), [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def rounding_report(ladder, trace):

@@ -167,7 +167,7 @@ class TestExitCodes:
             return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
 
         monkeypatch.setattr(lp, "solve_beta", infeasible)
-        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: None)
+        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: (None, np.nan))
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[3] * 12))
         assert run_failing(tmp_path, command, cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
@@ -299,6 +299,19 @@ class TestSolveLp:
         model_text = (out / "lp_model.txt").read_text()
         assert model_text.startswith("maximize beta:1")
 
+    def test_violating_tie_break_still_solves(self, tmp_path):
+        # The tie-break solve's point violates the model here; solve-lp
+        # writes solve_beta's point instead of exiting 3.
+        fares = [0.03125, 39.03125, 39.28125, 40.28125]
+        gamma = 1.0 / (1.0 + sum(1.0 - a / b for a, b in zip(fares, fares[1:])))
+        cfg = write_config(tmp_path, {"fares": fares, "capacity": 1, "advice": [0, 0, 0, 1],
+                                      "gamma": gamma})
+        out = tmp_path / "o"
+        assert main(["solve-lp", "--config", cfg, "--out", str(out)]) == 0
+        sol = json.loads((out / "lp_solution.json").read_text())
+        assert sol["max_violation"] <= 1e-9
+        assert sol["beta_star"] == pytest.approx(0.492516418606429, rel=1e-12)
+
 
 class TestRobustness:
     def test_sweep_csv(self, tmp_path):
@@ -344,7 +357,7 @@ class TestGolden:
         "command, payload, digests",
         [
             ("frontier", README_CONFIG, {
-                "frontier.csv": "0170ee3561f7462066ad811e87ee81e82466dee3368a45a0d0e29aa4e120900b",
+                "frontier.csv": "64985dd890fe4185cf2ca9343b663af6d9c029d11105cd6d8a43c1cc6f4fa560",
                 "manifest.json": "683117d6c87219ce8519cd86f5d61623aa3b37d0c66541e172e5913bae056ad0",
             }),
             ("protect", README_CONFIG, {
@@ -379,7 +392,7 @@ class TestGolden:
             ("rs-grid", dict(README_CONFIG, advice_step=50,
                              gamma_grid={"min": 0.0, "max": 0.5, "points": 5}), {
                 "manifest.json": "71e2dd67257f94c450b834998cd010ef03b84ce88293dd5fcd885c08dbf358d0",
-                "rs_grid.csv": "85682c102b3e350d88faef9605ba29c19450e21a267089a782f34d231b5e445c",
+                "rs_grid.csv": "e227498c12b0566acd50875270cd6b83aaed340f46eec4302a36ea535745d3f2",
             }),
             ("robustness", SWEEP_CONFIG, {
                 "manifest.json": "96789bc02df611caddffd8682ac6905eec3effa70101ed347da385f7fa6cdcd4",

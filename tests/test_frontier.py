@@ -72,7 +72,7 @@ class TestFrontierCurve:
         # The water-fill pass fails at every beta, c(F) included.
         lad = core.make_fare_ladder([1.0, 2.0], 2)
         adv = core.make_advice(lad, [0, 2])
-        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: None)
+        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: (None, np.nan))
         with pytest.raises(RuntimeError, match="infeasible"):
             frontier.consistency_frontier(lad, adv, [0.0, 0.5])
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, lp
+from rmadvice import core, frontier, lp
 from rmadvice.policies import bq_levels, run_protection_policy
 
 from .oracles import (
@@ -17,6 +17,7 @@ from .oracles import (
     reference_build_pareto_lp,
     reference_check_point,
     reference_opt,
+    reference_water_fill_beta,
     same_bits,
     vertex_enumeration_lp,
 )
@@ -278,6 +279,24 @@ class TestArrayForms:
         assert same_bits(first.x[0], lp.solve_lp(model).beta_star)
 
 
+def count_passes(monkeypatch):
+    """Count the water-fill passes of every pass built from now on; returns
+    the live count, a one-item list."""
+    build, calls = lp._water_fill, [0]
+
+    def counted_build(model):
+        fill = build(model)
+
+        def counted(beta):
+            calls[0] += 1
+            return fill(beta)
+
+        return counted
+
+    monkeypatch.setattr(lp, "_water_fill", counted_build)
+    return calls
+
+
 class TestWaterFill:
     """``water_fill_plan`` against the simplex: the LP oracle for the part
     of the water-fill argument that is not proved."""
@@ -321,8 +340,8 @@ class TestWaterFill:
         beta = lp.water_fill_plan(lad, adv, model.gamma).beta_star
         betas = [bound + s * (1.0 - bound) for s in shares] + [1.0, beta * (1 - 2e-8)]
         betas = sorted(b for b in betas if bound <= b and abs(b - beta) > 1e-8 * beta)
-        assert [fill(b) is not None for b in betas] == [b < beta for b in betas]
-        assert fill(bound) is not None and fill(beta) is not None
+        assert [fill(b)[0] is not None for b in betas] == [b < beta for b in betas]
+        assert fill(bound)[0] is not None and fill(beta)[0] is not None
 
     def test_zero_cap_rounding_is_not_a_failure(self):
         # Classes 2 and 5 lie above the lowest advised class with count 0,
@@ -339,11 +358,11 @@ class TestWaterFill:
         assert relative_gap(plan.beta_star, beta_star) <= 1e-9
         assert plan.beta_star == pytest.approx(0.91084, abs=1e-5)
         fill = lp._water_fill(lp.build_pareto_lp(lad, adv, gamma))
-        assert all(fill(b) is not None for b in np.linspace(core.bq_bound(lad), beta_star, 200))
+        assert all(fill(b)[0] is not None for b in np.linspace(core.bq_bound(lad), beta_star, 200))
 
     def test_infeasible_pass_raises(self, monkeypatch):
         lad, adv = tiny()
-        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: None)
+        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: (None, np.nan))
         with pytest.raises(lp.SolverError, match="infeasible"):
             lp.water_fill_plan(lad, adv, 0.5)
 
@@ -369,3 +388,97 @@ class TestWaterFill:
             for name in ("objective", "rows", "rhs", "upper"):
                 assert same_bits(getattr(rebuilt, name), getattr(fresh, name))
             assert rebuilt.gamma == gamma
+
+
+class TestRootSearch:
+    """``water_fill_plan``'s root search against the bisection it replaced
+    and the simplex, on the cases that broke earlier versions of it."""
+
+    @staticmethod
+    def at_bound(fares, n, counts):
+        lad = core.make_fare_ladder(fares, n)
+        return lad, core.make_advice(lad, counts), core.bq_bound(lad)
+
+    @pytest.mark.parametrize("fares, n, counts", [
+        # Near-equal fares: the seats barely move with beta, so the 1e-12 n
+        # slack let the last passing double overshoot the LP by 4.0e-9.
+        ((4.0, 4.001, 4.002), 91, (70, 21, 0)),
+        # The bisection's last double sits 0.99997e-9 above the LP; one
+        # double higher it was 1.00004e-9.
+        ((1.0, 24.0, 24.0625, 66.0625), 1, (0, 1, 0, 0)),
+        # The slack-free root falls 2e-15 short of its piece, whose lower
+        # end is the LP's beta: beta settles there, not 2.6e-9 above it.
+        ((40.0, 40.25, 40.265625), 1, (0, 1, 0)),
+    ])
+    def test_pull_back_removes_the_slack(self, fares, n, counts):
+        lad, adv, gamma = self.at_bound(fares, n, counts)
+        beta = lp.water_fill_plan(lad, adv, gamma).beta_star
+        assert relative_gap(beta, lp.solve_beta(lp.build_pareto_lp(lad, adv, gamma)).x[0]) <= 1e-11
+
+    def test_pull_back_stays_on_its_piece(self):
+        # A slack-band case on which a pull-back that ignored the pieces
+        # was seen to land at beta = -1.06, far off the LP's 0.93664.
+        lad = core.make_fare_ladder(
+            [1.6110696977081844, 4.053000057996788, 6.706125318243805], 10
+        )
+        adv = core.make_advice(lad, [4, 3, 3])
+        gamma = 0.5004687852597134
+        beta = lp.water_fill_plan(lad, adv, gamma).beta_star
+        assert relative_gap(beta, lp.solve_beta(lp.build_pareto_lp(lad, adv, gamma)).x[0]) <= 1e-9
+        assert beta == pytest.approx(0.93664, abs=1e-5)
+
+    def test_flat_piece_stays_within_the_bisection_budget(self, monkeypatch):
+        # Near-equal fares give near-flat pieces, on which the predicted
+        # roots crawl; a plain secant took 105 passes here.
+        lad, adv, gamma = self.at_bound((4.0, 4.001, 4.002), 91, (70, 21, 0))
+        _, bisection_passes = reference_water_fill_beta(lad, adv, gamma)
+        calls = count_passes(monkeypatch)
+        lp.water_fill_plan(lad, adv, gamma)
+        assert calls[0] <= min(bisection_passes, 64) + 4
+
+    def test_pass_budget_on_rs_grid(self, monkeypatch):
+        # The step-10 rs-grid of the README ladder: 66 advices x 41 gammas,
+        # 52.5 bisection passes per search on average.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
+        grid = frontier.default_gamma_grid(lad, 41)
+        advices = frontier.advice_grid(lad, 10)
+        calls = count_passes(monkeypatch)
+        for adv in advices:
+            base = lp.build_pareto_lp(lad, adv, 0.0)
+            for g in grid:
+                lp.water_fill_plan(lad, adv, float(g), base)
+        assert calls[0] <= 10 * len(advices) * len(grid)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        case=ladders_and_advice(max_m=12, max_n=100),
+        where=st.sampled_from(("zero", "bound", "interior")),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_against_bisection_and_simplex(self, case, where, share):
+        # beta within 1e-9 of the simplex's, with at most four passes more
+        # than the bisection made.  The bisection's own beta is no oracle:
+        # its last passing double overshoots the LP by up to the slack.
+        lad, adv = case
+        bound = core.bq_bound(lad)
+        gamma = {"zero": 0.0, "bound": bound, "interior": share * bound}[where]
+        _, ref_passes = reference_water_fill_beta(lad, adv, gamma)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_passes(mp)
+            plan = lp.water_fill_plan(lad, adv, gamma)
+        assert relative_gap(plan.beta_star, lp.solve_beta(lp.build_pareto_lp(lad, adv, gamma)).x[0]) <= 1e-9
+        assert calls[0] <= ref_passes + 4
+
+
+class TestTieBreak:
+    def test_violating_tie_break_gives_way_to_beta_point(self):
+        # The tie-break solve returns "optimal" with a point that violates
+        # the model by 0.83; solve_beta's own point is feasible.
+        lad = core.make_fare_ladder([0.03125, 39.03125, 39.28125, 40.28125], 1)
+        adv = core.make_advice(lad, [0, 0, 0, 1])
+        model = lp.build_pareto_lp(lad, adv, core.bq_bound(lad))
+        first = lp.solve_beta(model)
+        sol = lp.solve_lp(model)
+        assert same_bits(sol.beta_star, first.x[0])
+        assert same_bits(sol.x, first.x[1:5])
+        assert sol.max_violation <= 1e-9

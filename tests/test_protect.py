@@ -1,4 +1,4 @@
-"""Protection-level optimizer: growing pass and binary search."""
+"""Protection-level optimizer: growing pass and root search."""
 
 import json
 
@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, protect
+from rmadvice import core, frontier, protect
 from rmadvice.policies import ProtectionLevels, block_revenue, run_protection_policy
 
 from .oracles import (
     advice_instance,
-    expected_search_passes,
+    count_calls,
     hard_instances,
     protection_consistency,
     reference_grow_levels,
+    reference_protection_levels,
     same_bits,
 )
 from .test_core import ladders_and_advice
@@ -134,24 +135,47 @@ class TestBinarySearch:
         for lo_b, hi_b in zip(betas, betas[1:]):
             assert hi_b <= lo_b + 2e-6
 
-    def test_pass_count(self):
+    def test_pass_budget_on_tiny_case(self, monkeypatch):
+        # The bisection makes 20 passes here (c(F) = 2/3 and 19 halvings);
+        # the root search lands on the piece's root, steps one double past
+        # it and grows the levels at the bisection's lower end.
         lad, adv = tiny()
-        calls = {"n": 0}
-        original = protect.grow_levels_for_beta
+        calls = count_calls(monkeypatch, protect, "grow_levels_for_beta")
+        protect.optimal_protection_levels(lad, adv, 0.5, epsilon=1e-6)
+        assert calls[0] <= 6
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
+    def test_pass_budget_on_rs_grid(self, monkeypatch):
+        # The step-10 rs-grid of the README ladder: 66 advices x 41 gammas,
+        # 20 bisection passes per search.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
+        grid = frontier.default_gamma_grid(lad, 41)
+        advices = frontier.advice_grid(lad, 10)
+        calls = count_calls(monkeypatch, protect, "grow_levels_for_beta")
+        for adv in advices:
+            for g in grid:
+                protect.optimal_protection_levels(lad, adv, float(g))
+        assert calls[0] <= 6 * len(advices) * len(grid)
 
-        protect.grow_levels_for_beta = counting
-        try:
-            protect.optimal_protection_levels(lad, adv, 0.5, epsilon=1e-6)
-        finally:
-            protect.grow_levels_for_beta = original
-        # one probe at the lower endpoint and the bisection passes; the
-        # levels come from the last feasible pass, with no rerun.
-        expected = expected_search_passes(lad, 1e-6)
-        assert calls["n"] == expected + 1
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        case=ladders_and_advice(max_m=12, max_n=200),
+        where=st.sampled_from(("zero", "bound", "interior")),
+        share=st.floats(0.0, 1.0),
+        epsilon=st.sampled_from((1e-6, 1e-6, 1e-3, 1e-9)),
+    )
+    def test_matches_bisection_bitwise(self, case, where, share, epsilon):
+        # beta_pl and every level are what the bisection returned, with at
+        # most four passes more than it made.
+        lad, adv = case
+        bound = core.bq_bound(lad)
+        gamma = {"zero": 0.0, "bound": bound, "interior": share * bound}[where]
+        ref_levels, ref_beta, ref_passes = reference_protection_levels(lad, adv, gamma, epsilon)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, protect, "grow_levels_for_beta")
+            levels, beta = protect.optimal_protection_levels(lad, adv, gamma, epsilon)
+        assert same_bits(beta, ref_beta)
+        assert same_bits(levels.levels, ref_levels)
+        assert calls[0] <= ref_passes + 4
 
     def test_tiny_epsilon_stops_at_double_resolution(self, monkeypatch):
         # Below one ulp the interval cannot shrink, so the search must stop
