@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .policies import (
     levels_consistency,
     switch_block_revenue,
 )
-from .rng import CounterRng, derive_key
+from .rng import derive_key, normals
 
 POLICIES = ("lp_optimal", "optimal_pl", "bq")
 
@@ -44,8 +43,9 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.v < 1.0:
             raise ValueError("noise level v must lie in [0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if not core._is_whole(self.trials) or self.trials < 1:
+            raise ValueError("trials must be a positive whole number")
+        object.__setattr__(self, "trials", int(self.trials))
 
 
 @dataclass
@@ -70,18 +70,18 @@ def sample_counts(
     Row ``t`` counts trial ``t``'s instance, whose arrivals come in
     increasing fare order.  Class 1 always arrives at full capacity; every
     higher class count is ``max(floor(A_i + v * A_i * z), 0)`` with
-    independent standard normals drawn from the trial's own stream.
-    Returns a ``(trials, m)`` integer array.
+    independent standard normals drawn from the trial's own stream, whose
+    key is ``derive_key(seed, derive_key(t, 0x5EED))``.  Returns a
+    ``(trials, m)`` integer array.
     """
-    rows = []
-    for t in range(noise.trials):
-        rng = CounterRng(noise.seed, stream=derive_key(t, 0x5EED))
-        row = [ladder.capacity]
-        for a in advice.counts[1:]:
-            draw = rng.normal(float(a), noise.v * float(a))
-            row.append(max(math.floor(draw), 0))
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(noise.trials, ladder.m)
+    advised = np.array(advice.counts[1:], dtype=float)
+    trials = np.arange(noise.trials, dtype=np.uint64)
+    keys = derive_key(noise.seed, derive_key(trials, 0x5EED))
+    draws = advised + (noise.v * advised) * normals(keys, ladder.m - 1)
+    counts = np.empty((noise.trials, ladder.m), dtype=np.int64)
+    counts[:, 0] = ladder.capacity
+    counts[:, 1:] = np.maximum(np.floor(draws), 0.0)
+    return counts
 
 
 def check_robustness_bound(
@@ -221,7 +221,7 @@ def robustness_sweep(
             for gamma, gamma_setups in zip(gammas, setups):
                 for policy, setup in zip(policies, gamma_setups):
                     mean, std = _mean_std(_realized_ratios(ladder, advice, policy, setup, counts))
-                    rows.append(SweepRow(noise.v, float(gamma), policy, mean, std, trials))
+                    rows.append(SweepRow(noise.v, float(gamma), policy, mean, std, noise.trials))
     return rows
 
 

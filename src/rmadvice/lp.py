@@ -167,37 +167,32 @@ def solve_lp(model: LPModel) -> LPSolution:
     beta, and some leave fallback capacity unsold.  A second solve fixes
     beta at its optimum (within 1e-9) and maximizes the revenue-weighted
     fallback mass, so the policy derived from the solution keeps selling
-    after a switch whenever the constraints allow it.  The returned point
-    passes ``verify``, else ``SolverError`` is raised; a tie-break point
-    that fails it gives way to the first solve's point.
+    after a switch whenever the constraints allow it.  The first solve's
+    point must pass ``verify``, else ``SolverError`` is raised; a tie-break
+    point that fails it gives way to the first solve's point.
     """
     result = solve_beta(model)
+    violation = verify(model, result.status, result.x)
     m = model.m
     beta_star = float(result.x[0])
     point = result.x
-    if result.status == "optimal":
-        nvars = model.rows.shape[1]
-        secondary = np.zeros(nvars)
-        secondary[1 + m :] = np.tile(model.scaled_fares, m)
-        floor_row = np.zeros(nvars)
-        floor_row[0] = 1.0
-        refined = solve_simplex(
-            secondary,
-            np.vstack([model.rows, floor_row]),
-            list(model.senses) + [">="],
-            np.append(model.rhs, beta_star - 1e-9),
-            upper=model.upper,
-            maximize=True,
-        )
-        if refined.status == "optimal":
-            point = refined.x
+    nvars = model.rows.shape[1]
+    secondary = np.zeros(nvars)
+    secondary[1 + m :] = np.tile(model.scaled_fares, m)
+    floor_row = np.zeros(nvars)
+    floor_row[0] = 1.0
+    refined = solve_simplex(
+        secondary,
+        np.vstack([model.rows, floor_row]),
+        list(model.senses) + [">="],
+        np.append(model.rhs, beta_star - 1e-9),
+        upper=model.upper,
+        maximize=True,
+    )
     try:
-        violation = verify(model, result.status, point)
+        violation, point = verify(model, refined.status, refined.x), refined.x
     except SolverError:
-        if point is result.x:
-            raise
-        point = result.x
-        violation = verify(model, result.status, point)
+        pass
     return LPSolution(
         status="optimal",
         beta_star=beta_star,

@@ -5,8 +5,9 @@ element-by-element simplex pivot, a row-by-row simplex tableau set-up, a
 numpy protection-level growing pass that refills every hard-family row,
 per-row block closed forms, direct per-arrival replays for policies
 (numpy-scalar step loops and the switching policy's block closed form),
-the adversarial instance family built arrival by arrival, noisy instances
-sampled one trial at a time, and a sort-and-sum offline optimum.
+the adversarial instance family built arrival by arrival, a scalar
+counter generator and noisy instances sampled with it one trial at a
+time, and a sort-and-sum offline optimum.
 Slow but obviously correct on the small cases the tests feed it.  The
 module also holds summaries of solver results and the advice-conformance
 predicates that only tests need.
@@ -24,7 +25,7 @@ from rmadvice import core, lp, protect
 from rmadvice.core import Instance
 from rmadvice.kernels import simplex_iterate
 from rmadvice.policies import _eq_tol
-from rmadvice.rng import CounterRng, derive_key
+from rmadvice.rng import derive_key, splitmix64
 from rmadvice.simplex import COST_TOL, PIVOT_TOL, SimplexResult, SolverError
 
 
@@ -132,6 +133,44 @@ def hard_instances(ladder: core.FareLadder, advice: core.Advice) -> list[Instanc
         for i in range(1, m + 1):
             family.append(concat(prefix, block_instance(ladder, i)))
     return family
+
+
+GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter increment
+
+
+class CounterRng:
+    """Scalar counter generator, one draw at a time: draw i of the stream
+    with key ``derive_key(seed, stream)`` is ``splitmix64(key + i * GOLDEN)``
+    for i = 1, 2, ..., and normals come in Box-Muller pairs (cosine, then
+    the cached sine).  The reference for ``rng.normals``."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        self.key = derive_key(seed, stream)
+        self._index = 0
+        self._spare_normal: float | None = None
+
+    def next_u64(self) -> int:
+        """Next raw 64-bit output."""
+        self._index += 1
+        return splitmix64(self.key + self._index * GOLDEN)
+
+    def uniform(self) -> float:
+        """Uniform double in (0, 1] (strictly positive, safe for log)."""
+        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+
+    def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
+        """Gaussian variate via the Box-Muller transform (pairs are cached)."""
+        if self._spare_normal is not None:
+            z = self._spare_normal
+            self._spare_normal = None
+        else:
+            u1 = self.uniform()
+            u2 = self.uniform()
+            radius = math.sqrt(-2.0 * math.log(u1))
+            theta = 2.0 * math.pi * u2
+            z = radius * math.cos(theta)
+            self._spare_normal = radius * math.sin(theta)
+        return mean + sd * z
 
 
 def sample_instance(ladder: core.FareLadder, advice: core.Advice, noise, trial: int) -> Instance:

@@ -312,6 +312,15 @@ class TestSolveLp:
         assert sol["max_violation"] <= 1e-9
         assert sol["beta_star"] == pytest.approx(0.492516418606429, rel=1e-12)
 
+    def test_violating_first_point_is_numerical_failure(self, tmp_path, capsys):
+        # solve_beta's point violates the model here, with a wrong beta*.
+        fares = [45.679057933118905, 45.6800579331189, 46.179057933118905]
+        gamma = 1.0 / (1.0 + sum(1.0 - a / b for a, b in zip(fares, fares[1:])))
+        cfg = write_config(tmp_path, {"fares": fares, "capacity": 2, "advice": [1, 1, 0],
+                                      "gamma": gamma})
+        assert run_failing(tmp_path, "solve-lp", cfg) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
 
 class TestRobustness:
     def test_sweep_csv(self, tmp_path):

@@ -1,5 +1,7 @@
 """Monte-Carlo harness: sampling, averages, sweeps, robustness bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,15 @@ class TestNoiseConfig:
             NoiseConfig(v=-0.1, trials=10, seed=0)
         with pytest.raises(ValueError):
             NoiseConfig(v=0.5, trials=0, seed=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3", float("nan"), None])
+    def test_trials_must_be_whole(self, trials):
+        with pytest.raises(ValueError):
+            NoiseConfig(v=0.5, trials=trials, seed=0)
+
+    def test_whole_float_trials_become_int(self):
+        noise = NoiseConfig(v=0.5, trials=3.0, seed=0)
+        assert noise.trials == 3 and type(noise.trials) is int
 
 
 class TestSampling:
@@ -103,6 +114,53 @@ class TestSampling:
         for t in range(trials):
             expected = core.fare_counts(sample_instance(lad, adv, noise, t), lad.m)
             assert rows[t].tobytes() == expected.astype(np.int64).tobytes()
+
+
+def oracle_counts(lad, adv, noise):
+    """The per-trial oracle's counts, one instance at a time."""
+    return np.array(
+        [core.fare_counts(sample_instance(lad, adv, noise, t), lad.m) for t in range(noise.trials)],
+        dtype=np.int64,
+    ).reshape(noise.trials, lad.m)
+
+
+class TestSamplingOracle:
+    """``sample_counts`` against one scalar stream per trial, byte for byte."""
+
+    @pytest.mark.parametrize("advice", [[2, 8, 10], [2, 8, 10, 5], [1, 0, 7, 3, 9, 4]],
+                             ids=["m-1-even", "m-1-odd", "m-1-odd-zero-class"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("v", [0.0, 0.5, 0.999])
+    def test_both_parities_seeds_and_noise(self, advice, seed, v):
+        # m - 1 odd drops the last pair's sine
+        lad = core.make_fare_ladder([2.0 ** i for i in range(len(advice))], sum(advice))
+        adv = core.make_advice(lad, advice)
+        noise = NoiseConfig(v=v, trials=7, seed=seed)
+        assert sample_counts(lad, adv, noise).tobytes() == oracle_counts(lad, adv, noise).tobytes()
+
+    def test_single_class_draws_nothing(self):
+        lad = core.make_fare_ladder([3.0], 5)
+        adv = core.make_advice(lad, [5])
+        counts = sample_counts(lad, adv, NoiseConfig(v=0.5, trials=4, seed=3))
+        assert counts.shape == (4, 1) and counts.dtype == np.int64
+        assert counts.tolist() == [[5]] * 4
+
+    def test_thousand_trials(self):
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0, 8.0, 16.0], 50)
+        adv = core.make_advice(lad, [10, 15, 5, 12, 8])
+        noise = NoiseConfig(v=0.9, trials=1000, seed=2**64 - 1)
+        assert sample_counts(lad, adv, noise).tobytes() == oracle_counts(lad, adv, noise).tobytes()
+
+    def test_frozen_digest(self):
+        # [FROZEN] SHA-256 of one count array; any change moves every
+        # recorded robustness sweep.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0, 8.0], 40)
+        adv = core.make_advice(lad, [10, 10, 12, 8])
+        counts = sample_counts(lad, adv, NoiseConfig(v=0.5, trials=500, seed=2**64 - 1))
+        assert counts.shape == (500, 4) and counts.dtype == np.int64
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+            "80bd3a7938c7712a247c6e5d588da78174797490cf21d1f14aa6b79bb0cf0a4e"
+        )
 
 
 def replayed_ratios(lad, adv, policy, gamma, noise, relaxed_epsilon=0.1):

@@ -482,3 +482,14 @@ class TestTieBreak:
         assert same_bits(sol.beta_star, first.x[0])
         assert same_bits(sol.x, first.x[1:5])
         assert sol.max_violation <= 1e-9
+
+    def test_violating_first_point_is_refused(self):
+        # solve_beta returns "optimal" with beta -0.857 and a point that
+        # violates the model by 3.69 (the LP's beta is 0.98930); the
+        # tie-break point passes, but solve_lp may not return that beta.
+        lad = core.make_fare_ladder([45.679057933118905, 45.6800579331189, 46.179057933118905], 2)
+        adv = core.make_advice(lad, [1, 1, 0])
+        model = lp.build_pareto_lp(lad, adv, core.bq_bound(lad))
+        assert lp.check_point(model, lp.solve_beta(model).x) > 1.0
+        with pytest.raises(lp.SolverError, match="violates the model"):
+            lp.solve_lp(model)
