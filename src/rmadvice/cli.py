@@ -9,7 +9,8 @@ Subcommands::
     solve-lp    raw LP solution for (advice, gamma)         -> JSON
     robustness  Monte-Carlo sweep over noise levels         -> CSV + manifest
 
-Each subcommand maps a JSON config (``--config``) to its output files;
+Each subcommand maps a JSON config (``--config``) to its output files,
+formatted here (``_csv``, ``_json``): the library only computes.
 ``main`` writes them with ``manifest.json`` under ``--out`` once the
 subcommand has returned.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
@@ -18,10 +19,13 @@ subcommand has returned.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -106,15 +110,29 @@ def _gamma_grid(cfg: dict, ladder: core.FareLadder) -> np.ndarray:
     return grid
 
 
+def _csv(header, rows) -> str:
+    """CSV text with ``"\n"`` line ends; every float (numpy floats too) in
+    17 significant digits, ints and strings as they are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" if isinstance(v, (float, np.floating)) else v for v in row]
+                     for row in rows)
+    return buf.getvalue()
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, default=float) + "\n"
+
+
 def _manifest(command: str, cfg: dict, seed) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    payload = {
+    return _json({
         "command": command,
         "config": cfg,
         "seed": seed,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def cmd_frontier(cfg: dict, args) -> dict:
@@ -122,7 +140,9 @@ def cmd_frontier(cfg: dict, args) -> dict:
     advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
     grid = _gamma_grid(cfg, ladder)
     curve = frontier.consistency_frontier(ladder, advice, grid, epsilon=args.epsilon)
-    return {"frontier.csv": frontier.frontier_to_csv(curve)}
+    rows = [(g, bl, bp, curve.bq_consistency)
+            for g, bl, bp in zip(curve.gammas, curve.beta_lp, curve.beta_pl)]
+    return {"frontier.csv": _csv(["gamma", "beta_lp", "beta_pl", "bq_consistency"], rows)}
 
 
 def cmd_rs_grid(cfg: dict, args) -> dict:
@@ -130,11 +150,12 @@ def cmd_rs_grid(cfg: dict, args) -> dict:
     step = _whole(cfg.get("advice_step", 10), "advice_step")
     advices = _checked(frontier.advice_grid, ladder, step)
     grid = _gamma_grid(cfg, ladder)
-    rs_values = [
-        frontier.relative_suboptimality(ladder, a, grid, epsilon=args.epsilon)
+    rows = [
+        (*a.counts, frontier.relative_suboptimality(ladder, a, grid, epsilon=args.epsilon))
         for a in advices
     ]
-    return {"rs_grid.csv": frontier.rs_grid_to_csv(advices, rs_values)}
+    header = [f"A_{i}" for i in range(1, ladder.m + 1)] + ["rs"]
+    return {"rs_grid.csv": _csv(header, rows)}
 
 
 def cmd_simulate(cfg: dict, args) -> dict:
@@ -143,17 +164,13 @@ def cmd_simulate(cfg: dict, args) -> dict:
     instance = _checked(core.make_instance, ladder, _require(cfg, "instance"))
     policy = cfg.get("policy", "lp_optimal")
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
-    if policy == "lp_optimal":
-        trace = policies.run_lp_optimal(ladder, advice, gamma, instance)
-    elif policy == "lp_relaxed":
-        trace = policies.run_relaxed_optimal(ladder, advice, gamma, args.epsilon, instance)
-    elif policy == "optimal_pl":
-        levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, args.epsilon)
-        trace = policies.run_protection_policy(ladder, levels, instance)
-    elif policy == "bq":
-        trace = policies.run_protection_policy(ladder, policies.bq_levels(ladder), instance)
+    setup = _checked(
+        experiments._policy_setup, ladder, advice, policy, gamma, args.epsilon, args.epsilon
+    )
+    if isinstance(setup, policies.ProtectionLevels):
+        trace = policies.run_protection_policy(ladder, setup, instance)
     else:
-        raise ConfigError(f"unknown policy {policy!r}")
+        trace = policies._run_switch(ladder, advice, instance, *setup)
     opt = core.opt_revenue(ladder, instance)
     ratio = trace.revenue / opt if opt > 0 else 1.0
     summary = {
@@ -164,10 +181,18 @@ def cmd_simulate(cfg: dict, args) -> dict:
         "trigger_time": trace.trigger_time,
     }
     print(f"realized competitive ratio: {ratio:.6f}")
-    return {
-        "trace.csv": policies.trace_to_csv(ladder, trace),
-        "summary.json": json.dumps(summary, indent=2) + "\n",
-    }
+    rows = []
+    q = np.zeros(ladder.m)
+    revenue = 0.0
+    for t, p in enumerate(trace.fare_indices, start=1):
+        w = float(trace.accepted[t - 1])
+        q[p - 1 :] += w
+        revenue += w * ladder.fares[p - 1]
+        switched = int(trace.trigger_time is not None and t >= trace.trigger_time)
+        rows.append([t, p, ladder.fares[p - 1], w, *q, switched, revenue])
+    header = (["step", "fare_index", "fare", "accepted_fraction"]
+              + [f"q_{i}" for i in range(1, ladder.m + 1)] + ["switched", "revenue_so_far"])
+    return {"trace.csv": _csv(header, rows), "summary.json": _json(summary)}
 
 
 def cmd_protect(cfg: dict, args) -> dict:
@@ -176,7 +201,10 @@ def cmd_protect(cfg: dict, args) -> dict:
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
     _, beta_lower = protect.optimal_protection_levels(ladder, advice, gamma, args.epsilon)
     candidate = protect.grow_levels_for_beta(ladder, advice, gamma, beta_lower)
-    return {"levels.json": protect.levels_to_json(ladder, gamma, beta_lower, candidate)}
+    payload = {"fares": ladder.fares, "capacity": ladder.capacity, "gamma": gamma,
+               "beta_lower": beta_lower, **asdict(candidate)}
+    del payload["root"]  # the search's prediction, not a property of the levels
+    return {"levels.json": _json(payload)}
 
 
 def cmd_solve_lp(cfg: dict, args) -> dict:
@@ -193,7 +221,7 @@ def cmd_solve_lp(cfg: dict, args) -> dict:
         "y": solution.y.tolist(),
         "max_violation": float(solution.max_violation),
     }
-    files = {"lp_solution.json": json.dumps(payload, indent=2) + "\n"}
+    files = {"lp_solution.json": _json(payload)}
     if cfg.get("dump_model"):
         files["lp_model.txt"] = lp.dump_model(model)
     return files
@@ -219,7 +247,8 @@ def cmd_robustness(cfg: dict, args) -> dict:
         experiments.robustness_sweep, ladder, advices, gammas, v_list, trials, args.seed,
         policies=policies_list, epsilon=args.epsilon,
     )
-    return {"sweep.csv": experiments.sweep_to_csv(rows)}
+    header = ["v", "gamma", "policy", "mean_cr", "std_cr", "trials"]
+    return {"sweep.csv": _csv(header, map(astuple, rows))}
 
 
 _COMMANDS = {

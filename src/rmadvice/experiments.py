@@ -13,14 +13,13 @@ protection-level policy to its count distance from the advice.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, lp, protect
 from .policies import (
+    ProtectionLevels,
     block_revenue,
     bq_levels,
     derive_switch_plan,
@@ -30,11 +29,13 @@ from .policies import (
 from .rng import derive_key, normals
 
 POLICIES = ("lp_optimal", "optimal_pl", "bq")
+BOUND_TOL = 1e-9  # slack of the robustness-bound check
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Gaussian noise around the advice: sd_i = v * A_i."""
+    """Gaussian noise around the advice: sd_i = v * A_i, drawn from streams
+    keyed by a whole ``seed`` in [0, 2**64)."""
 
     v: float
     trials: int
@@ -45,7 +46,10 @@ class NoiseConfig:
             raise ValueError("noise level v must lie in [0, 1)")
         if not core._is_whole(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive whole number")
+        if not core._is_whole(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be a whole number in [0, 2**64)")
         object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass
@@ -90,7 +94,6 @@ def check_robustness_bound(
     consistency: float,
     realized,
     counts,
-    tol: float = 1e-9,
 ) -> None:
     """Assert the consistency-vs-distance bound for protection levels.
 
@@ -104,7 +107,7 @@ def check_robustness_bound(
         consistency - np.asarray(realized),
         2.0 * ladder.fares[-1] / ladder.fares[0] * core.count_distance(advice, counts),
     )
-    violated = np.flatnonzero(drop > bound + tol)
+    violated = np.flatnonzero(drop > bound + BOUND_TOL)
     if violated.size:
         i = violated[0]
         raise RobustnessBoundError(
@@ -129,10 +132,8 @@ def average_cr(
     ``relaxed_epsilon``).
     """
     setup = _policy_setup(ladder, advice, policy, gamma, epsilon, relaxed_epsilon)
-    ratios = _realized_ratios(
-        ladder, advice, policy, setup, sample_counts(ladder, advice, noise), check_bound
-    )
-    return _mean_std(ratios)
+    counts = sample_counts(ladder, advice, noise)
+    return _mean_std(_realized_ratios(ladder, advice, setup, counts, check_bound))
 
 
 def _policy_setup(
@@ -140,7 +141,8 @@ def _policy_setup(
     epsilon: float = 1e-6, relaxed_epsilon: float = 0.1,
 ):
     """A policy's inputs at ``(advice, gamma)``: levels, or a switch plan
-    with its trigger slack."""
+    with its trigger slack.  The one map from a policy name to its set-up,
+    for the sweeps here and for the CLI's ``simulate``."""
     if policy in ("lp_optimal", "lp_relaxed"):
         if policy == "lp_relaxed" and relaxed_epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
@@ -156,7 +158,6 @@ def _policy_setup(
 def _realized_ratios(
     ladder: core.FareLadder,
     advice: core.Advice,
-    policy: str,
     setup,
     counts: np.ndarray,
     check_bound: bool = True,
@@ -169,14 +170,15 @@ def _realized_ratios(
     scores 1.  With ``check_bound`` the robustness bound is asserted on
     every row for the protection-level policies.
     """
-    if policy in ("lp_optimal", "lp_relaxed"):
+    static = isinstance(setup, ProtectionLevels)
+    if static:
+        revenue = block_revenue(ladder.fares, setup.levels, counts)
+    else:
         plan, eps = setup
         revenue = switch_block_revenue(ladder, advice, plan, counts, eps)
-    else:
-        revenue = block_revenue(ladder.fares, setup.levels, counts)
     opt = core.count_opt(ladder, counts)
     ratios = np.divide(revenue, opt, out=np.ones(len(counts)), where=opt > 0.0)
-    if check_bound and policy in ("optimal_pl", "bq"):
+    if check_bound and static:
         consistency = levels_consistency(ladder, advice, setup)
         check_robustness_bound(ladder, advice, consistency, ratios, counts)
     return ratios
@@ -220,18 +222,7 @@ def robustness_sweep(
             counts = sample_counts(ladder, advice, noise)
             for gamma, gamma_setups in zip(gammas, setups):
                 for policy, setup in zip(policies, gamma_setups):
-                    mean, std = _mean_std(_realized_ratios(ladder, advice, policy, setup, counts))
+                    mean, std = _mean_std(_realized_ratios(ladder, advice, setup, counts))
                     rows.append(SweepRow(noise.v, float(gamma), policy, mean, std, noise.trials))
     return rows
 
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["v", "gamma", "policy", "mean_cr", "std_cr", "trials"])
-    for r in rows:
-        writer.writerow(
-            [f"{r.v:.17g}", f"{r.gamma:.17g}", r.policy,
-             f"{r.mean_cr:.17g}", f"{r.std_cr:.17g}", r.trials]
-        )
-    return buf.getvalue()

@@ -9,8 +9,6 @@ over a gamma grid.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,23 +105,3 @@ def advice_grid(ladder: core.FareLadder, step: int) -> list[core.Advice]:
         advices.append(core.make_advice(ladder, counts))
     return advices
 
-
-def frontier_to_csv(curve: FrontierCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["gamma", "beta_lp", "beta_pl", "bq_consistency"])
-    for g, bl, bp in zip(curve.gammas, curve.beta_lp, curve.beta_pl):
-        writer.writerow(
-            [f"{g:.17g}", f"{bl:.17g}", f"{bp:.17g}", f"{curve.bq_consistency:.17g}"]
-        )
-    return buf.getvalue()
-
-
-def rs_grid_to_csv(advices: list[core.Advice], rs_values) -> str:
-    m = advices[0].m
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"A_{i}" for i in range(1, m + 1)] + ["rs"])
-    for advice, rs in zip(advices, rs_values):
-        writer.writerow(list(advice.counts) + [f"{rs:.17g}"])
-    return buf.getvalue()

@@ -13,7 +13,8 @@ def simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
 
     The last tableau row holds reduced costs with ``-objective`` in the
     right-hand-side slot; only columns below ``ncols`` may enter.  Returns
-    0 when optimal, 1 when unbounded, 2 when the iteration cap is hit.
+    0 when optimal, 1 when unbounded, 2 when the iteration cap is hit, 3
+    when the ratio test finds a ratio below -1e-9: the rhs went negative.
     """
     nrows = T.shape[0] - 1
     rhs = T.shape[1] - 1
@@ -35,6 +36,8 @@ def simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
                 leave = i
         if leave < 0:
             return 1
+        if best < -1e-9:
+            return 3
         _pivot(T, leave, enter)
         basis[leave] = enter
     return 2

@@ -169,7 +169,8 @@ def solve_lp(model: LPModel) -> LPSolution:
     fallback mass, so the policy derived from the solution keeps selling
     after a switch whenever the constraints allow it.  The first solve's
     point must pass ``verify``, else ``SolverError`` is raised; a tie-break
-    point that fails it gives way to the first solve's point.
+    solve that fails, or whose point fails ``verify``, gives way to the
+    first solve's point.
     """
     result = solve_beta(model)
     violation = verify(model, result.status, result.x)
@@ -181,15 +182,15 @@ def solve_lp(model: LPModel) -> LPSolution:
     secondary[1 + m :] = np.tile(model.scaled_fares, m)
     floor_row = np.zeros(nvars)
     floor_row[0] = 1.0
-    refined = solve_simplex(
-        secondary,
-        np.vstack([model.rows, floor_row]),
-        list(model.senses) + [">="],
-        np.append(model.rhs, beta_star - 1e-9),
-        upper=model.upper,
-        maximize=True,
-    )
     try:
+        refined = solve_simplex(
+            secondary,
+            np.vstack([model.rows, floor_row]),
+            list(model.senses) + [">="],
+            np.append(model.rhs, beta_star - 1e-9),
+            upper=model.upper,
+            maximize=True,
+        )
         violation, point = verify(model, refined.status, refined.x), refined.x
     except SolverError:
         pass

@@ -23,8 +23,6 @@ cost O(m) work: ``block_revenue`` is a closed form over count arrays, and
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -95,8 +93,8 @@ def block_revenue(fares, levels, counts):
     ``counts[..., j]`` arrivals of class ``j+1`` arrive in increasing fare
     order; the policy then fills each block up to its cumulative limit, so
     the run collapses to a closed form, evaluated over the last axis of
-    ``counts`` like ``core.count_opt``.  No feasibility check is applied,
-    which lets partially built level vectors be evaluated.
+    ``counts`` like ``core.count_opt``.  No feasibility check is applied:
+    the levels come from ``bq_levels`` or ``optimal_protection_levels``.
     """
     counts = np.asarray(counts, dtype=float)
     q = rev = 0.0
@@ -326,29 +324,3 @@ def run_relaxed_optimal(
         plan = derive_switch_plan(lp.water_fill_plan(ladder, advice, gamma))
     return _run_switch(ladder, advice, instance, plan, epsilon)
 
-
-def trace_to_csv(ladder: core.FareLadder, trace: PolicyTrace) -> str:
-    """Per-step CSV: fare, accepted fraction, cumulative counts, phase."""
-    m = ladder.m
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["step", "fare_index", "fare", "accepted_fraction"]
-        + [f"q_{i}" for i in range(1, m + 1)]
-        + ["switched", "revenue_so_far"]
-    )
-    q = np.zeros(m)
-    revenue = 0.0
-    for t, p in enumerate(trace.fare_indices):
-        w = float(trace.accepted[t])
-        q[p - 1 :] += w
-        revenue += w * ladder.fares[p - 1]
-        switched = int(
-            trace.trigger_time is not None and t + 1 >= trace.trigger_time
-        )
-        writer.writerow(
-            [t + 1, p, f"{ladder.fares[p - 1]:.17g}", f"{w:.17g}"]
-            + [f"{v:.17g}" for v in q]
-            + [switched, f"{revenue:.17g}"]
-        )
-    return buf.getvalue()

@@ -16,12 +16,11 @@ costs O(m) per pass.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import core
-from .policies import ProtectionLevels
+from .policies import ProtectionLevels, _eq_tol
 
 
 @dataclass
@@ -34,7 +33,7 @@ class LevelsCandidate:
     feasible: bool  # top level fits within capacity
     # Beta at which the top level meets capacity on this pass's linear
     # piece: above beta where feasible, below it where not; +-inf where the
-    # level does not grow with beta.  Not serialized.
+    # level does not grow with beta.
     root: float = math.nan
 
 
@@ -98,7 +97,7 @@ def grow_levels_for_beta(
         q_advice += take
         dq_advice += dtake
     levels, comp_inc, cons_inc = zip(*grown)
-    limit = n + 1e-9 * max(1.0, n)
+    limit = n + _eq_tol(ladder)
     feasible = bool(level <= limit)  # top level fits
     if dlevel > 0.0:
         root = beta + (limit - level) / dlevel
@@ -153,15 +152,3 @@ def optimal_protection_levels(
     levels = tuple(min(v, n) for v in candidate.levels)
     return ProtectionLevels(levels=levels), lo
 
-
-def levels_to_json(
-    ladder: core.FareLadder,
-    gamma: float,
-    beta_lower: float,
-    candidate: LevelsCandidate,
-) -> str:
-    """Serialize an optimized level vector with its provenance."""
-    payload = {"fares": ladder.fares, "capacity": ladder.capacity, "gamma": gamma,
-               "beta_lower": beta_lower, **asdict(candidate)}
-    del payload["root"]
-    return json.dumps(payload, indent=2, default=float) + "\n"

@@ -20,7 +20,11 @@ PIVOT_TOL = 1e-11
 
 
 class SolverError(RuntimeError):
-    """Numerical failure inside the solver (iteration cap, bad pivot)."""
+    """Numerical failure inside the solver (iteration cap, lost feasibility)."""
+
+
+# ``simplex_iterate`` statuses that end a solve with a ``SolverError``.
+_FAILURES = {2: "iteration cap exceeded", 3: "lost primal feasibility"}
 
 
 @dataclass
@@ -94,8 +98,8 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
             T[nrows] -= T[i]
         T[nrows, ncols:total] = 0.0
         status = simplex_iterate(T, basis, total, COST_TOL, PIVOT_TOL)
-        if status == 2:
-            raise SolverError("phase-1 iteration cap exceeded")
+        if status in _FAILURES:
+            raise SolverError(f"phase-1 {_FAILURES[status]}")
         phase1_obj = -T[nrows, total]
         if phase1_obj > 1e-7:
             return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
@@ -116,8 +120,8 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
             obj -= obj[col] * T[i]
     T[nrows] = obj
     status = simplex_iterate(T, basis, ncols, COST_TOL, PIVOT_TOL)
-    if status == 2:
-        raise SolverError("phase-2 iteration cap exceeded")
+    if status in _FAILURES:
+        raise SolverError(f"phase-2 {_FAILURES[status]}")
     if status == 1:
         return SimplexResult(status="unbounded", objective=np.inf if maximize else -np.inf,
                              x=np.full(nvars, np.nan))

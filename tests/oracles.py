@@ -431,6 +431,8 @@ def reference_simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
                     leave = i
         if leave < 0:
             return 1
+        if best < -1e-9:
+            return 3
         piv = T[leave, enter]
         for j in range(rhs + 1):
             T[leave, j] /= piv

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -320,6 +321,20 @@ class TestSolveLp:
                                       "gamma": gamma})
         assert run_failing(tmp_path, "solve-lp", cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+    def test_lost_feasibility_exits_3_fast(self, tmp_path, capsys):
+        # The simplex's rhs goes negative after 182 phase-1 pivots; without
+        # the ratio test's check, solve-lp ran 50,000 pivots (over 10 s)
+        # to its iteration cap.
+        fares = [0.0625, 2.8125, 5.25, 9.0, 13.0, 13.6875, 13.75, 14.25, 15.375, 18.8125,
+                 22.5625, 24.8125]
+        advice = [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+        cfg = write_config(tmp_path, {"fares": fares, "capacity": 1, "advice": advice,
+                                      "gamma": 0.2653178598709861})  # c(F)
+        start = time.perf_counter()
+        assert run_failing(tmp_path, "solve-lp", cfg) == 3
+        assert time.perf_counter() - start < 2.0
+        assert "lost primal feasibility" in capsys.readouterr().err
 
 
 class TestRobustness:

@@ -1,13 +1,15 @@
 """Monte-Carlo harness: sampling, averages, sweeps, robustness bound."""
 
+import argparse
 import hashlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, experiments, lp, protect
+from rmadvice import cli, core, experiments, lp, protect
 from rmadvice.experiments import (
     NoiseConfig,
     RobustnessBoundError,
@@ -15,7 +17,6 @@ from rmadvice.experiments import (
     check_robustness_bound,
     robustness_sweep,
     sample_counts,
-    sweep_to_csv,
 )
 from rmadvice.policies import (
     block_revenue,
@@ -60,6 +61,21 @@ class TestNoiseConfig:
     def test_whole_float_trials_become_int(self):
         noise = NoiseConfig(v=0.5, trials=3.0, seed=0)
         assert noise.trials == 3 and type(noise.trials) is int
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, 2**64 + 5, 5.5, True, "5", None, float("nan"), np.int64(-3)]
+    )
+    def test_bad_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseConfig(v=0.5, trials=3, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 5.0, np.int64(3), np.uint64(2**64 - 1), 2**64 - 1])
+    def test_whole_seed_becomes_int(self, seed):
+        noise = NoiseConfig(v=0.5, trials=3, seed=seed)
+        assert noise.seed == int(seed) and type(noise.seed) is int
+        lad, adv = setup_case()
+        same = sample_counts(lad, adv, NoiseConfig(v=0.5, trials=3, seed=int(seed)))
+        assert np.array_equal(sample_counts(lad, adv, noise), same)
 
 
 class TestSampling:
@@ -267,17 +283,21 @@ class TestSweep:
             lad, [adv], gammas=[0.2, 0.4], v_list=[0.0, 0.5], trials=10, seed=7
         )
         assert len(rows) == 2 * 2 * len(experiments.POLICIES)
-        text = sweep_to_csv(rows)
+        # The same sweep through the CLI, which owns the CSV format.
+        cfg = {"fares": list(lad.fares), "capacity": lad.capacity, "advice": list(adv.counts),
+               "gamma_grid": [0.2, 0.4], "noise": {"v_list": [0.0, 0.5], "trials": 10}}
+        text = cli.cmd_robustness(cfg, argparse.Namespace(seed=7, epsilon=1e-6))["sweep.csv"]
         lines = text.strip().split("\n")
         assert lines[0] == "v,gamma,policy,mean_cr,std_cr,trials"
         assert len(lines) == 1 + len(rows)
+        assert text == cli._csv(lines[0].split(","), map(astuple, rows))
 
     def test_sweep_deterministic(self):
         lad, adv = setup_case()
         kwargs = dict(gammas=[0.3], v_list=[0.5], trials=15, seed=99)
         a = robustness_sweep(lad, [adv], **kwargs)
         b = robustness_sweep(lad, [adv], **kwargs)
-        assert sweep_to_csv(a) == sweep_to_csv(b)
+        assert cli._csv([], map(astuple, a)) == cli._csv([], map(astuple, b))
 
     def test_plans_and_levels_set_up_once_per_advice_and_gamma(self, monkeypatch):
         # The criterion-10 noise sweep: 3 advices x 10 noise levels at one

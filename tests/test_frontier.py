@@ -1,12 +1,16 @@
 """Frontier curves, advice grids, and relative suboptimality."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from rmadvice import core, frontier, lp
+from rmadvice import cli, core, frontier, lp
 
 from .oracles import same_bits
 from .test_core import relative_gap
+
+ARGS = argparse.Namespace(seed=0, epsilon=1e-6)  # the CLI's defaults
 
 
 class TestGammaGrid:
@@ -123,11 +127,11 @@ class TestAdviceGrid:
 
 
 class TestCsv:
+    """The CSV files of the ``frontier`` and ``rs-grid`` commands."""
+
     def test_frontier_csv(self):
-        lad = core.make_fare_ladder([1.0, 2.0], 2)
-        adv = core.make_advice(lad, [0, 2])
-        curve = frontier.consistency_frontier(lad, adv, [0.0, 0.5])
-        text = frontier.frontier_to_csv(curve)
+        cfg = {"fares": [1.0, 2.0], "capacity": 2, "advice": [0, 2], "gamma_grid": [0.0, 0.5]}
+        text = cli.cmd_frontier(cfg, ARGS)["frontier.csv"]
         lines = text.strip().split("\n")
         assert lines[0] == "gamma,beta_lp,beta_pl,bq_consistency"
         assert len(lines) == 3
@@ -136,7 +140,8 @@ class TestCsv:
     def test_rs_grid_csv(self):
         lad = core.make_fare_ladder([1.0, 2.0], 4)
         advices = frontier.advice_grid(lad, 2)
-        text = frontier.rs_grid_to_csv(advices, [0.0] * len(advices))
+        cfg = {"fares": [1.0, 2.0], "capacity": 4, "advice_step": 2, "gamma_grid": [0.0, 0.5]}
+        text = cli.cmd_rs_grid(cfg, ARGS)["rs_grid.csv"]
         lines = text.strip().split("\n")
         assert lines[0] == "A_1,A_2,rs"
         assert len(lines) == 1 + len(advices)

@@ -73,6 +73,15 @@ class TestSimplexIterate:
         T, basis = slack_tableau(A, np.array([1.0, 1.0]), np.array([0.0, -1.0]))
         assert assert_same_pivots(T, basis, T.shape[1] - 1) == 1
 
+    def test_negative_ratio_reports_lost_feasibility(self):
+        # Row 0's rhs is negative: its ratio -1 is the smallest, so the
+        # loop stops before pivoting on it.
+        T, basis = slack_tableau(np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]), np.array([-1.0]))
+        before = T.copy()
+        assert assert_same_pivots(T, basis, T.shape[1] - 1) == 3
+        status = kernels.simplex_iterate(T, basis, T.shape[1] - 1, COST_TOL, PIVOT_TOL)
+        assert status == 3 and np.array_equal(T, before)
+
     def test_matches_reference_on_pareto_lp_tableaux(self, monkeypatch):
         calls = []
         real = kernels.simplex_iterate

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rmadvice import core, frontier, lp
 from rmadvice.policies import bq_levels, run_protection_policy
+from rmadvice.simplex import SimplexResult
 
 from .oracles import (
     advice_instance,
@@ -472,8 +473,9 @@ class TestRootSearch:
 
 class TestTieBreak:
     def test_violating_tie_break_gives_way_to_beta_point(self):
-        # The tie-break solve returns "optimal" with a point that violates
-        # the model by 0.83; solve_beta's own point is feasible.
+        # The tie-break solve loses primal feasibility (without the ratio
+        # test's check it returned "optimal" with a point violating the
+        # model by 0.83); solve_beta's own point is feasible.
         lad = core.make_fare_ladder([0.03125, 39.03125, 39.28125, 40.28125], 1)
         adv = core.make_advice(lad, [0, 0, 0, 1])
         model = lp.build_pareto_lp(lad, adv, core.bq_bound(lad))
@@ -483,13 +485,35 @@ class TestTieBreak:
         assert same_bits(sol.x, first.x[1:5])
         assert sol.max_violation <= 1e-9
 
-    def test_violating_first_point_is_refused(self):
-        # solve_beta returns "optimal" with beta -0.857 and a point that
-        # violates the model by 3.69 (the LP's beta is 0.98930); the
-        # tie-break point passes, but solve_lp may not return that beta.
+    def test_violating_first_point_is_refused(self, monkeypatch):
+        # Without the ratio test's check, solve_beta returned "optimal"
+        # here with beta -0.857 and a point violating the model by 3.69
+        # (the LP's beta is 0.98930), and the tie-break point passed.  Now
+        # the simplex stops when the rhs goes negative; a violating first
+        # point is still refused, whatever the tie-break finds.
         lad = core.make_fare_ladder([45.679057933118905, 45.6800579331189, 46.179057933118905], 2)
         adv = core.make_advice(lad, [1, 1, 0])
         model = lp.build_pareto_lp(lad, adv, core.bq_bound(lad))
-        assert lp.check_point(model, lp.solve_beta(model).x) > 1.0
+        with pytest.raises(lp.SolverError, match="lost primal feasibility"):
+            lp.solve_beta(model)
+        with pytest.raises(lp.SolverError, match="lost primal feasibility"):
+            lp.solve_lp(model)
+        point = np.full(model.rows.shape[1], -1.0)  # breaks every x >= 0
+        assert lp.check_point(model, point) > 1e-9
+        monkeypatch.setattr(lp, "solve_beta", lambda model: SimplexResult("optimal", 0.0, point))
         with pytest.raises(lp.SolverError, match="violates the model"):
             lp.solve_lp(model)
+
+    def test_lost_feasibility_fails_fast(self):
+        # The rhs goes negative after 182 phase-1 pivots here; without the
+        # ratio test's check the solve pivoted 50,000 times before its
+        # iteration cap.  The water-fill pass solves the case.
+        fares = [0.0625, 2.8125, 5.25, 9.0, 13.0, 13.6875, 13.75, 14.25, 15.375, 18.8125,
+                 22.5625, 24.8125]
+        lad = core.make_fare_ladder(fares, 1)
+        adv = core.make_advice(lad, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
+        gamma = core.bq_bound(lad)
+        model = lp.build_pareto_lp(lad, adv, gamma)
+        with pytest.raises(lp.SolverError, match="phase-1 lost primal feasibility"):
+            lp.solve_beta(model)
+        assert lp.water_fill_plan(lad, adv, gamma).max_violation <= 1e-9

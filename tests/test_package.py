@@ -27,26 +27,29 @@ def test_import_loads_no_heavy_module():
     assert out.stdout.split() == []
 
 
-def _rmadvice_imports(module: str) -> set[str]:
-    """The ``rmadvice`` modules that ``src/rmadvice/<module>.py`` imports,
-    by their names inside the package (``""`` for the package itself)."""
+def _imports(module: str) -> set[str]:
+    """The modules that ``src/rmadvice/<module>.py`` imports, by full name;
+    ``from . import a`` names ``rmadvice.a``."""
     path = os.path.join(rmadvice.__path__[0], f"{module}.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
+            found.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:  # relative: ``from . import a``, ``from .a import b``
                 base = f"rmadvice.{base}".rstrip(".")
-            names = [f"{base}.{a.name}" for a in node.names] if base == "rmadvice" else [base]
-        else:
-            continue
-        found.update(n.partition(".")[2] for n in names
-                     if n == "rmadvice" or n.startswith("rmadvice."))
+            found.update([f"{base}.{a.name}" for a in node.names] if base == "rmadvice" else [base])
     return found
+
+
+def _rmadvice_imports(module: str) -> set[str]:
+    """The ``rmadvice`` modules that ``module`` imports, by their names
+    inside the package (``""`` for the package itself)."""
+    return {n.partition(".")[2] for n in _imports(module)
+            if n == "rmadvice" or n.startswith("rmadvice.")}
 
 
 def test_booking_rule_has_one_home():
@@ -54,3 +57,12 @@ def test_booking_rule_has_one_home():
     # holds only the simplex pivot loop and depends on no other module.
     assert "kernels" not in _rmadvice_imports("policies")
     assert _rmadvice_imports("kernels") == set()
+
+
+def test_result_formats_have_one_home():
+    # ``cli`` writes every CSV and JSON result; the library only computes.
+    modules = sorted(name[:-3] for name in os.listdir(rmadvice.__path__[0])
+                     if name.endswith(".py"))
+    writers = [m for m in modules
+               if {n.partition(".")[0] for n in _imports(m)} & {"csv", "io", "json"}]
+    assert writers == ["cli"]

@@ -1,5 +1,6 @@
 """Booking policies: protection levels, switching policy, relaxed variant."""
 
+import argparse
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, lp
+from rmadvice import cli, core, lp
 from rmadvice.policies import (
     ProtectionLevels,
     SwitchPlan,
@@ -21,7 +22,6 @@ from rmadvice.policies import (
     run_protection_policy,
     run_relaxed_optimal,
     switch_block_revenue,
-    trace_to_csv,
 )
 
 from . import oracles
@@ -664,11 +664,14 @@ class TestCountArrays:
 
 class TestTraceOutputs:
     def test_csv_shape_and_totals(self):
+        # The trace CSV of the ``simulate`` command, which replays the
+        # trace's cumulative counts and revenue step by step.
         lad = core.make_fare_ladder([1.0, 2.0], 3)
-        levels = ProtectionLevels(levels=(1.0, 3.0))
         inst = core.make_instance(lad, [1, 2, 2, 1])
-        trace = run_protection_policy(lad, levels, inst)
-        text = trace_to_csv(lad, trace)
+        trace = run_protection_policy(lad, bq_levels(lad), inst)
+        cfg = {"fares": [1.0, 2.0], "capacity": 3, "advice": [1, 2], "instance": list(inst.steps),
+               "policy": "bq"}
+        text = cli.cmd_simulate(cfg, argparse.Namespace(seed=0, epsilon=1e-6))["trace.csv"]
         lines = text.strip().split("\n")
         assert len(lines) == 1 + len(inst)
         header = lines[0].split(",")

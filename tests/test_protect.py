@@ -1,7 +1,7 @@
 """Protection-level optimizer: growing pass and root search."""
 
+import argparse
 import json
-
 import math
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, frontier, protect
+from rmadvice import cli, core, frontier, protect
 from rmadvice.policies import ProtectionLevels, block_revenue, run_protection_policy
 
 from .oracles import (
@@ -283,10 +283,13 @@ class TestGuarantees:
 
 class TestSerialization:
     def test_levels_json_round_trip(self):
+        # The ``levels.json`` of the ``protect`` command.
         lad, adv = tiny()
         levels, beta = protect.optimal_protection_levels(lad, adv, 0.5)
         cand = protect.grow_levels_for_beta(lad, adv, 0.5, beta)
-        payload = json.loads(protect.levels_to_json(lad, 0.5, beta, cand))
+        cfg = {"fares": list(lad.fares), "capacity": 2, "advice": list(adv.counts), "gamma": 0.5}
+        text = cli.cmd_protect(cfg, argparse.Namespace(seed=0, epsilon=1e-6))["levels.json"]
+        payload = json.loads(text)
         assert payload["capacity"] == 2
         assert payload["beta_lower"] == beta
         assert payload["levels"] == pytest.approx(list(cand.levels))
