@@ -125,12 +125,15 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, default=float) + "\n"
 
 
-def _manifest(command: str, cfg: dict, seed) -> str:
+def _manifest(args, cfg: dict) -> str:
+    """The command, its config and every option it took but ``--config``
+    and ``--out``."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
     return _json({
-        "command": command,
+        "command": args.command,
         "config": cfg,
-        "seed": seed,
+        **options,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     })
 
@@ -139,7 +142,7 @@ def cmd_frontier(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
     advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
     grid = _gamma_grid(cfg, ladder)
-    curve = frontier.consistency_frontier(ladder, advice, grid, epsilon=args.epsilon)
+    curve = frontier.consistency_frontier(ladder, advice, grid)
     rows = [(g, bl, bp, curve.bq_consistency)
             for g, bl, bp in zip(curve.gammas, curve.beta_lp, curve.beta_pl)]
     return {"frontier.csv": _csv(["gamma", "beta_lp", "beta_pl", "bq_consistency"], rows)}
@@ -150,23 +153,20 @@ def cmd_rs_grid(cfg: dict, args) -> dict:
     step = _whole(cfg.get("advice_step", 10), "advice_step")
     advices = _checked(frontier.advice_grid, ladder, step)
     grid = _gamma_grid(cfg, ladder)
-    rows = [
-        (*a.counts, frontier.relative_suboptimality(ladder, a, grid, epsilon=args.epsilon))
-        for a in advices
-    ]
+    rows = [(*a.counts, frontier.relative_suboptimality(ladder, a, grid)) for a in advices]
     header = [f"A_{i}" for i in range(1, ladder.m + 1)] + ["rs"]
     return {"rs_grid.csv": _csv(header, rows)}
 
 
 def cmd_simulate(cfg: dict, args) -> dict:
+    if not 0.0 < args.epsilon < math.inf:
+        raise ConfigError(f"--epsilon {args.epsilon!r} must be positive and finite")
     ladder = _ladder(cfg)
     advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
     instance = _checked(core.make_instance, ladder, _require(cfg, "instance"))
     policy = cfg.get("policy", "lp_optimal")
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
-    setup = _checked(
-        experiments._policy_setup, ladder, advice, policy, gamma, args.epsilon, args.epsilon
-    )
+    setup = _checked(experiments._policy_setup, ladder, advice, policy, gamma, args.epsilon)
     if isinstance(setup, policies.ProtectionLevels):
         trace = policies.run_protection_policy(ladder, setup, instance)
     else:
@@ -199,11 +199,11 @@ def cmd_protect(cfg: dict, args) -> dict:
     ladder = _ladder(cfg)
     advice = _checked(core.make_advice, ladder, _require(cfg, "advice"))
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
-    _, beta_lower = protect.optimal_protection_levels(ladder, advice, gamma, args.epsilon)
+    levels, beta_lower = protect.optimal_protection_levels(ladder, advice, gamma)
     candidate = protect.grow_levels_for_beta(ladder, advice, gamma, beta_lower)
     payload = {"fares": ladder.fares, "capacity": ladder.capacity, "gamma": gamma,
-               "beta_lower": beta_lower, **asdict(candidate)}
-    del payload["root"]  # the search's prediction, not a property of the levels
+               "beta_lower": beta_lower, **asdict(candidate), "levels": levels.levels}
+    del payload["root"], payload["settle"]  # the search's, not properties of the levels
     return {"levels.json": _json(payload)}
 
 
@@ -245,7 +245,7 @@ def cmd_robustness(cfg: dict, args) -> dict:
     policies_list = _nonempty_list(cfg.get("policies", list(experiments.POLICIES)), "policies")
     rows = _checked(
         experiments.robustness_sweep, ladder, advices, gammas, v_list, trials, args.seed,
-        policies=policies_list, epsilon=args.epsilon,
+        policies=policies_list,
     )
     header = ["v", "gamma", "policy", "mean_cr", "std_cr", "trials"]
     return {"sweep.csv": _csv(header, map(astuple, rows))}
@@ -272,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="top-level RNG seed")
-        p.add_argument("--epsilon", type=float, default=1e-6,
-                       help="accuracy for binary searches / relaxed trigger")
+        if name == "simulate":
+            p.add_argument("--epsilon", type=float, default=1e-6,
+                           help="trigger slack of the lp_relaxed policy")
     return parser
 
 
@@ -281,13 +282,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        if not 0.0 < args.epsilon < math.inf:
-            raise ConfigError(f"--epsilon {args.epsilon!r} must be positive and finite")
         if not 0 <= args.seed < 2**64:
             raise ConfigError(f"--seed {args.seed} must lie in [0, 2**64)")
         cfg = _load_config(args.config)
         files = _COMMANDS[args.command](cfg, args)
-        files["manifest.json"] = _manifest(args.command, cfg, args.seed)
+        files["manifest.json"] = _manifest(args, cfg)
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name, text in files.items():

@@ -165,9 +165,9 @@ def bq_bound(ladder: FareLadder) -> float:
     return 1.0 / total
 
 
-def largest_feasible(trial, lo: float, hi: float, epsilon: float):
-    """The value a bisection for the largest success of ``trial`` returns,
-    found in a few trials on a piecewise-linear test.
+def largest_feasible(trial, lo: float, hi: float):
+    """The largest double in [lo, hi) at which ``trial`` succeeds, found in
+    a few trials on a piecewise-linear test.
 
     ``trial(v)`` returns ``(witness, root)``: the witness, or ``None`` where
     ``v`` fails, and the root that ``v``'s linear piece predicts: for a
@@ -176,35 +176,30 @@ def largest_feasible(trial, lo: float, hi: float, epsilon: float):
     toward its limit on the piece, NaN where nothing is known).  Every
     value below a success is taken to succeed; ``hi`` is never tried.
 
-    The answer is the bisection's: halve [lo, hi] until it is no wider than
-    ``epsilon`` or holds no double inside, and return the last success with
-    its witness (``(lo, None)`` if ``lo`` fails).  The trials keep a bracket
-    ``good`` (succeeds) < ``bad`` (fails); a midpoint in it needs a trial,
-    any other is decided by comparison.  That trial goes to the newer end's
-    predicted root, else the older end's, moved inside the bracket; where a
-    root sits on an end it steps off it, twice as far each time, since
-    rounding can hold a check at its limit over a few doubles.  A flat or
-    curved run of pieces can make predictions crawl, so once the trials
-    exceed the midpoints decided so far by three, a trial goes to a
-    predicted root only where success there would decide the midpoint, and
-    else to the midpoint, until free decisions pay the excess back.  No
-    search makes more than four trials beyond the bisection's: an excess of
-    four, or of three and one trial for the witness of an end that no trial
-    hit, which only an ``epsilon`` wider than a double's spacing can leave.
+    Returns that double with its witness, or ``(lo, None)`` if ``lo``
+    fails: what a bisection of [lo, hi] down to adjacent doubles returns.
+    The trials keep a bracket ``good`` (succeeds) < ``bad`` (fails); a
+    bisection midpoint in it needs a trial, any other is decided by
+    comparison.  That trial goes to the newer end's predicted root, else
+    the older end's, moved inside the bracket; where a root sits on an end
+    it steps off it, twice as far each time, since rounding can hold a
+    check at its limit over a few doubles.  A flat or curved run of pieces
+    can make predictions crawl, so once the trials exceed the midpoints
+    decided so far by three, a trial goes to a predicted root only where
+    success there would decide the midpoint, and else to the midpoint,
+    until free decisions pay the excess back.  No search makes more than
+    four trials beyond the bisection's.
     """
     witness, root = trial(lo)
     if witness is None:
         return lo, None
-    first, good, good_witness, bad = lo, lo, witness, hi
+    good, bad = lo, hi
     roots = [root, math.nan]  # the predictions of the trials at good and bad
     newer = 0  # which end was tried last
     debt = 0  # trials made, less midpoints decided
-    spare = 3 if epsilon > 0.0 else 4  # the excess allowed
     step = 0.0
-    while hi - lo > epsilon:
+    while math.nextafter(good, bad) != bad:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # no double left between the endpoints
-            break
         if not good < mid < bad:
             debt -= 1
             if mid <= good:
@@ -225,7 +220,7 @@ def largest_feasible(trial, lo: float, hi: float, epsilon: float):
                 guess = math.nextafter(bad, good)
             elif root < good:
                 guess = math.nextafter(good, bad)
-        elif debt < spare and min(root, math.nextafter(bad, good)) >= mid:
+        elif debt < 4 and min(root, math.nextafter(bad, good)) >= mid:
             guess = min(root, math.nextafter(bad, good))
         found, root = trial(guess)
         debt += 1
@@ -234,15 +229,8 @@ def largest_feasible(trial, lo: float, hi: float, epsilon: float):
         if found is None:
             bad = guess
         else:
-            good, good_witness = guess, found
-        if math.nextafter(good, bad) == bad and bad - good > epsilon:
-            lo = good  # the halving can only end at [good, bad]
-            break
-    if lo == good:
-        return lo, good_witness
-    if lo == first:
-        return lo, witness
-    return lo, trial(lo)[0]
+            good, witness = guess, found
+    return good, witness
 
 
 def opt_revenue(ladder: FareLadder, instance: Instance) -> float:

@@ -121,7 +121,6 @@ def average_cr(
     policy: str,
     gamma: float,
     noise: NoiseConfig,
-    epsilon: float = 1e-6,
     relaxed_epsilon: float = 0.1,
     check_bound: bool = True,
 ) -> tuple[float, float]:
@@ -131,14 +130,14 @@ def average_cr(
     ``lp_relaxed`` (the error-tolerant switching policy at
     ``relaxed_epsilon``).
     """
-    setup = _policy_setup(ladder, advice, policy, gamma, epsilon, relaxed_epsilon)
+    setup = _policy_setup(ladder, advice, policy, gamma, relaxed_epsilon)
     counts = sample_counts(ladder, advice, noise)
     return _mean_std(_realized_ratios(ladder, advice, setup, counts, check_bound))
 
 
 def _policy_setup(
     ladder: core.FareLadder, advice: core.Advice, policy: str, gamma: float,
-    epsilon: float = 1e-6, relaxed_epsilon: float = 0.1,
+    relaxed_epsilon: float = 0.1,
 ):
     """A policy's inputs at ``(advice, gamma)``: levels, or a switch plan
     with its trigger slack.  The one map from a policy name to its set-up,
@@ -149,7 +148,7 @@ def _policy_setup(
         eps = relaxed_epsilon if policy == "lp_relaxed" else 0.0
         return derive_switch_plan(lp.water_fill_plan(ladder, advice, gamma)), eps
     if policy == "optimal_pl":
-        return protect.optimal_protection_levels(ladder, advice, gamma, epsilon)[0]
+        return protect.optimal_protection_levels(ladder, advice, gamma)[0]
     if policy == "bq":
         return bq_levels(ladder)
     raise ValueError(f"unknown policy {policy!r}")
@@ -198,7 +197,6 @@ def robustness_sweep(
     trials: int,
     seed: int,
     policies=POLICIES,
-    epsilon: float = 1e-6,
 ) -> list[SweepRow]:
     """Grid of mean realized ratios over (advice, noise level, gamma, policy).
 
@@ -215,7 +213,7 @@ def robustness_sweep(
                for vi, v in enumerate(v_list)] for ai in range(len(advices))]
     for advice, advice_noises in zip(advices, noises):
         setups = [
-            [_policy_setup(ladder, advice, p, float(gamma), epsilon) for p in policies]
+            [_policy_setup(ladder, advice, p, float(gamma)) for p in policies]
             for gamma in gammas
         ]
         for noise in advice_noises:

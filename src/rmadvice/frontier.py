@@ -36,7 +36,6 @@ def consistency_frontier(
     ladder: core.FareLadder,
     advice: core.Advice,
     gamma_grid=None,
-    epsilon: float = 1e-6,
 ) -> FrontierCurve:
     """Evaluate both consistency curves over a gamma grid.
 
@@ -51,7 +50,7 @@ def consistency_frontier(
     base = lp.build_pareto_lp(ladder, advice, 0.0)
     for i, g in enumerate(gammas):
         beta_lp[i] = lp.water_fill_plan(ladder, advice, float(g), base).beta_star
-        _, beta_pl[i] = protect.optimal_protection_levels(ladder, advice, float(g), epsilon)
+        _, beta_pl[i] = protect.optimal_protection_levels(ladder, advice, float(g))
     return FrontierCurve(
         gammas=gammas,
         beta_lp=beta_lp,
@@ -64,10 +63,9 @@ def relative_suboptimality(
     ladder: core.FareLadder,
     advice: core.Advice,
     gamma_grid=None,
-    epsilon: float = 1e-6,
 ) -> float:
     """Largest relative gap between the LP and protection-level curves."""
-    curve = consistency_frontier(ladder, advice, gamma_grid, epsilon)
+    curve = consistency_frontier(ladder, advice, gamma_grid)
     gaps = (curve.beta_lp - curve.beta_pl) / curve.beta_lp
     return float(max(0.0, np.max(gaps)))
 

@@ -219,7 +219,7 @@ def water_fill_plan(
     model = build_pareto_lp(ladder, advice, gamma, base)
     fill = _water_fill(model)
     # The upper end is never tried: one double above 1 lets beta reach 1.
-    _, found = core.largest_feasible(fill, core.bq_bound(ladder), math.nextafter(1.0, 2.0), 0.0)
+    _, found = core.largest_feasible(fill, core.bq_bound(ladder), math.nextafter(1.0, 2.0))
     if found is None:
         raise SolverError(f"water-fill pass infeasible at gamma={gamma} and beta=c(F)")
     x, beta = found

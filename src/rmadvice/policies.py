@@ -273,8 +273,9 @@ def fallback_search(q, base_levels, fallback_levels, eq_tol):
 
     The search starts from the highest class filled to its base level and
     moves to the first class whose bookings exceed the current row, until
-    a row dominates ``q`` or the moves exceed ``m``.  Returns the
-    0-based start and chosen rows and the number of moves.
+    a row dominates ``q``.  Returns the 0-based start and chosen rows and
+    the number of moves; raises ``RuntimeError`` if no row dominates ``q``
+    within ``m`` moves.
     """
     m = len(base_levels)
     s0 = max((j for j in range(m) if base_levels[j] - q[j] <= eq_tol), default=0)
@@ -284,7 +285,7 @@ def fallback_search(q, base_levels, fallback_levels, eq_tol):
         if bad < 0:
             return s0, k, moves
         k = bad
-    return s0, k, m + 1
+    raise RuntimeError(f"fallback search found no row dominating the bookings in {m} moves")
 
 
 def run_lp_optimal(

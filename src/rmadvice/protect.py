@@ -35,6 +35,9 @@ class LevelsCandidate:
     # piece: above beta where feasible, below it where not; +-inf where the
     # level does not grow with beta.
     root: float = math.nan
+    # Where the top level meets capacity without the check's tolerance, on
+    # this pass's piece, if it passed on the tolerance alone; else beta.
+    settle: float = math.nan
 
 
 def grow_levels_for_beta(
@@ -109,6 +112,7 @@ def grow_levels_for_beta(
         consistency_increments=cons_inc,
         feasible=feasible,
         root=root,
+        settle=beta + (n - level) / dlevel if n < level and dlevel > 0.0 else beta,
     )
 
 
@@ -126,18 +130,20 @@ def optimal_protection_levels(
     ladder: core.FareLadder,
     advice: core.Advice,
     gamma: float,
-    epsilon: float = 1e-6,
+    epsilon: float | None = None,
 ) -> tuple[ProtectionLevels, float]:
-    """The largest consistency attainable at ratio ``gamma``, as a
-    bisection of ``beta`` over ``[bq_bound, 1]`` to accuracy ``epsilon``
-    (or until no double lies between the endpoints) finds it: the levels
-    grown at the proven-feasible lower endpoint together with that
-    endpoint (a consistency guarantee, within ``epsilon`` of the true
-    protection-level optimum).  ``core.largest_feasible`` finds that
-    endpoint from the passes' predicted roots, in a few passes.
+    """The largest consistency attainable at ratio ``gamma`` and the
+    levels grown at it, capped at capacity: ``beta_pl``.
+
+    ``core.largest_feasible`` finds the last double in [c(F), 1] whose pass
+    fits the top level within capacity plus a tolerance.  That tolerance
+    keeps the search from stalling where the top level is flat and tight
+    (at gamma = c(F)), but on near-equal fares it is wide in beta, so the
+    answer is pulled back to the pass's slack-free root (``settle``) and
+    the levels grown again there, a few times at most, until the top level
+    fits or the root stops moving.  ``epsilon`` is ignored; it is kept
+    only for callers that pass it positionally.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
     core.check_gamma(ladder, gamma)
     terms = _advice_terms(ladder, advice)
 
@@ -145,10 +151,16 @@ def optimal_protection_levels(
         candidate = grow_levels_for_beta(ladder, advice, gamma, beta, terms)
         return (candidate if candidate.feasible else None), candidate.root
 
-    lo, candidate = core.largest_feasible(trial, core.bq_bound(ladder), 1.0, epsilon)
+    # The upper end is never tried: one double above 1 lets beta reach 1.
+    beta, candidate = core.largest_feasible(
+        trial, core.bq_bound(ladder), math.nextafter(1.0, 2.0)
+    )
     if candidate is None:
-        raise RuntimeError(f"growing pass infeasible at beta={lo!r}")
+        raise RuntimeError(f"growing pass infeasible at beta={beta!r}")
+    for _ in range(4):
+        if not candidate.settle < beta:  # the top level fits, or the root stays
+            break
+        beta = candidate.settle
+        candidate = grow_levels_for_beta(ladder, advice, gamma, beta, terms)
     n = float(ladder.capacity)
-    levels = tuple(min(v, n) for v in candidate.levels)
-    return ProtectionLevels(levels=levels), lo
-
+    return ProtectionLevels(levels=tuple(min(v, n) for v in candidate.levels)), beta

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rmadvice import core, lp, protect
 from rmadvice.core import Instance
@@ -27,6 +28,26 @@ from rmadvice.kernels import simplex_iterate
 from rmadvice.policies import _eq_tol
 from rmadvice.rng import derive_key, splitmix64
 from rmadvice.simplex import COST_TOL, PIVOT_TOL, SimplexResult, SolverError
+
+
+@st.composite
+def ladders_and_advice(draw, max_m=5, max_n=8, min_m=1, near_equal=False):
+    """A random ladder (any positive increasing fares) with a valid advice.
+    With ``near_equal`` every fare is above the one below by a factor
+    within 1e-4 of 1."""
+    m = draw(st.integers(min_m, max_m))
+    n = draw(st.integers(1, max_n))
+    first = draw(st.floats(0.01, 100.0))
+    if near_equal:
+        ratios = draw(st.lists(st.floats(1e-9, 1e-4), min_size=m - 1, max_size=m - 1))
+        fares = first * np.cumprod([1.0] + [1.0 + r for r in ratios])
+    else:
+        steps = draw(st.lists(st.floats(0.001, 100.0), min_size=m - 1, max_size=m - 1))
+        fares = np.cumsum([first] + steps)
+    ladder = core.make_fare_ladder(fares, n)
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+    counts = np.diff([0] + cuts + [n])
+    return ladder, core.make_advice(ladder, counts)
 
 
 def vertex_enumeration_lp(c, A, senses, b, upper=None, tol=1e-9):
@@ -446,9 +467,9 @@ def reference_simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
     return 2
 
 
-def protection_consistency(ladder, advice, gamma, epsilon=1e-6):
+def protection_consistency(ladder, advice, gamma):
     """Realized consistency of the optimized levels on the advice instance."""
-    levels, _ = protect.optimal_protection_levels(ladder, advice, gamma, epsilon)
+    levels, _ = protect.optimal_protection_levels(ladder, advice, gamma)
     revenue = reference_block_revenue(
         ladder.fares, np.asarray(levels.levels), advice.cap_counts
     )
@@ -478,18 +499,20 @@ def bisect_largest_feasible(trial, lo, hi, epsilon):
 
 
 def reference_protection_levels(ladder, advice, gamma, epsilon=1e-6):
-    """The protection-level search as a bisection over the growing pass:
-    ``(levels, beta_lower, passes)``, with the levels capped at capacity as
-    ``protect.optimal_protection_levels`` returns them."""
+    """The protection-level search as a bisection over the growing pass,
+    to accuracy ``epsilon``, with an exact capacity check (top level at
+    most n, no tolerance): ``(beta, levels, passes)``.  Every beta it
+    accepts is attainable, so its answer bounds beta_pl from below.  Where
+    rounding puts the top level above n even at c(F) (it is flat and tight
+    there at gamma = c(F)), it returns c(F) with levels ``None``."""
     terms = protect._advice_terms(ladder, advice)
+    n = float(ladder.capacity)
 
     def trial(beta):
         candidate = protect.grow_levels_for_beta(ladder, advice, gamma, beta, terms)
-        return candidate if candidate.feasible else None
+        return candidate.levels if candidate.levels[-1] <= n else None
 
-    lo, candidate, passes = bisect_largest_feasible(trial, core.bq_bound(ladder), 1.0, epsilon)
-    n = float(ladder.capacity)
-    return tuple(min(v, n) for v in candidate.levels), lo, passes
+    return bisect_largest_feasible(trial, core.bq_bound(ladder), 1.0, epsilon)
 
 
 def reference_water_fill_beta(ladder, advice, gamma):

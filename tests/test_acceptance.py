@@ -85,16 +85,14 @@ def test_criterion_04_frontier_reproduction():
     lad = core.make_fare_ladder([100.0, 200.0, 400.0, 800.0], 100)
     adv = core.make_advice(lad, [10, 20, 60, 10])
     eps = 1e-6
-    curve = frontier.consistency_frontier(
-        lad, adv, frontier.default_gamma_grid(lad, 41), epsilon=eps
-    )
+    curve = frontier.consistency_frontier(lad, adv, frontier.default_gamma_grid(lad, 41))
     assert abs(curve.beta_lp[0] - 1.0) <= 1e-6
     assert np.all(np.diff(curve.beta_lp) <= 1e-9)
     assert np.all(np.diff(curve.beta_pl) <= 2.0 * eps)
     assert np.all(curve.beta_lp >= curve.bq_consistency - 1e-6)
     for bl, bp in zip(curve.beta_lp, curve.beta_pl):
         assert bl >= bp - eps
-        # bp is the binary search's lower endpoint, accurate to eps.
+        # bp is the slack-free root of the protection-level search.
         assert bp >= curve.bq_consistency - eps - 1e-9
     _report(4, "four-fare frontier: endpoint 1, monotone curves, "
                "lp >= levels >= advice-free baseline")

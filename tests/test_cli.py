@@ -21,7 +21,10 @@ def write_config(tmp_path, payload, name="config.json"):
 def run_failing(tmp_path, command, config, *flags):
     """Exit code of a run expected to fail; such a run writes nothing."""
     out = tmp_path / "o"
-    code = main([command, "--config", config, "--out", str(out), *flags])
+    try:
+        code = main([command, "--config", config, "--out", str(out), *flags])
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     assert not out.exists()
     return code
 
@@ -140,18 +143,26 @@ class TestExitCodes:
         assert run_failing(tmp_path, command, cfg, *flags) == 2
         assert "config error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["frontier", "protect", "rs-grid", "robustness"])
+    @pytest.mark.parametrize(
+        "command", ["frontier", "protect", "rs-grid", "robustness", "simulate"]
+    )
     @pytest.mark.parametrize("epsilon", ["nan", "-1", "0", "inf"])
     def test_bad_epsilon(self, tmp_path, capsys, command, epsilon):
-        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
+        # simulate rejects a bad trigger slack; the others take no --epsilon.
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[1, 2, 3]))
         assert run_failing(tmp_path, command, cfg, f"--epsilon={epsilon}") == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("config error:" if command == "simulate" else "unrecognized arguments") in err
 
-    @pytest.mark.parametrize("command", ["frontier", "protect"])
-    def test_epsilon_below_double_resolution_finishes(self, tmp_path, command):
-        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.0, 0.3]))
+    def test_epsilon_only_for_simulate(self, tmp_path, capsys):
+        # --epsilon is the lp_relaxed trigger slack; no other command reads it.
+        cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[1, 2, 3]))
+        for command in ("frontier", "rs-grid", "protect", "solve-lp", "robustness"):
+            assert run_failing(tmp_path, command, cfg, "--epsilon=1e-6") == 2
+            assert "unrecognized arguments: --epsilon=1e-6" in capsys.readouterr().err
         out = tmp_path / "o"
-        assert main([command, "--config", cfg, "--out", str(out), "--epsilon", "1e-20"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--epsilon=0.5"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["epsilon"] == 0.5
 
     def test_violating_lp_point_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lp, "check_point", lambda model, point: 1.0)
@@ -251,27 +262,31 @@ class TestSimulate:
         assert summary["realized_ratio"] >= 0.3 - 1e-9
 
     def test_optimal_pl_replays_protect_levels(self, tmp_path):
-        # A coarse --epsilon gives other levels than the default (top level
-        # 11.09, not 12); both commands must use the same ones.  Twelve
+        # Both commands must use the same levels.  On these near-equal
+        # fares at gamma = c(F) the levels grown at beta_pl may pass the
+        # capacity check on its tolerance alone; protect once wrote a top
+        # level of 5.0000000049 there, which simulate does not run.  Five
         # arrivals per class in increasing order fill every level, so the
         # last trace row's cumulative counts are the levels.
+        fares = [42.57249869442302, 42.57388976372801]
         payload = {
-            "fares": [1.0, 1.7, 2.9, 5.3],
-            "capacity": 12,
-            "advice": [2, 3, 4, 3],
-            "gamma": 0.25,
-            "instance": [i for i in range(1, 5) for _ in range(12)],
+            "fares": fares,
+            "capacity": 5,
+            "advice": [5, 0],
+            "gamma": 1.0 / (2.0 - fares[0] / fares[1]),  # c(F)
+            "instance": [1] * 5 + [2] * 5,
             "policy": "optimal_pl",
         }
         cfg = write_config(tmp_path, payload)
         for command in ("simulate", "protect"):
-            argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
-            assert main(argv + ["--epsilon", "0.1"]) == 0
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
         levels = json.loads((tmp_path / "protect" / "levels.json").read_text())["levels"]
         last = (tmp_path / "simulate" / "trace.csv").read_text().strip().split("\n")[-1]
-        replayed = [float(v) for v in last.split(",")[4:8]]
-        assert levels[-1] < 11.5
+        replayed = [float(v) for v in last.split(",")[4:6]]
+        assert max(levels) <= 5.0
         assert replayed == pytest.approx(levels, rel=1e-12)
+        summary = json.loads((tmp_path / "simulate" / "summary.json").read_text())
+        assert summary["realized_ratio"] >= payload["gamma"] - 1e-12
 
 
 class TestProtect:
@@ -374,18 +389,18 @@ SWEEP_CONFIG = {
 
 class TestGolden:
     """SHA-256 of every output file of one small run per subcommand, at
-    ``--seed 4`` and the default ``--epsilon``.  A change to any output
+    ``--seed 4`` (and ``simulate``'s default ``--epsilon``).  A change to any output
     byte fails here; such a change must say why and update the digests."""
 
     @pytest.mark.parametrize(
         "command, payload, digests",
         [
             ("frontier", README_CONFIG, {
-                "frontier.csv": "64985dd890fe4185cf2ca9343b663af6d9c029d11105cd6d8a43c1cc6f4fa560",
+                "frontier.csv": "e020c5f1fdc7afe181b2b95c74c5d2e9bf709e8f90eed75fb5da3c9d65641302",
                 "manifest.json": "683117d6c87219ce8519cd86f5d61623aa3b37d0c66541e172e5913bae056ad0",
             }),
             ("protect", README_CONFIG, {
-                "levels.json": "da15f80cba36acd3ab3688126a20c99eb48f0e2a45920c24626328792934c8f0",
+                "levels.json": "8d9262b0c701bccf2855425512513088bf4eedc2d57551053032b16b8b5349a0",
                 "manifest.json": "31e78797cff2a8f0eeec0f1e10c4a20d68acd52f9b95538bf9efaae94852cc92",
             }),
             ("solve-lp", dict(README_CONFIG, dump_model=True), {
@@ -394,33 +409,33 @@ class TestGolden:
                 "manifest.json": "3bf606fbf16169373913b767d6672d3398c466148ae7727d9888bdf9b2556e8a",
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="lp_optimal"), {
-                "manifest.json": "ac3cadf38af8df00938fb0d0b4dec28b5ccd2aad80453631790561b6e6aa5abd",
+                "manifest.json": "bca2e65638a03a3b093f6b8fc4d99565afd9ead502789154ecb6da1bd38e7e17",
                 "summary.json": "e9a7b458b465f4492fa88cd46a8e83313b9f0be433b5d7b1229f4aac2ded2c7f",
                 "trace.csv": "82fc8c40e18b1a5d621ee35b0b21f01bf024582ac04364a969c3f0fedf3cc86f",
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="lp_relaxed"), {
-                "manifest.json": "2b4a44219ac228a883cf6fb5cdfe45745aa3e3403b48ac3cc4e11da137c4c5da",
+                "manifest.json": "79decd3b6cc9245ae87bab6b9d5e09494a81ea35a432b8e95edc18f676fe7250",
                 "summary.json": "65826044d18e25d8b6551d0c3cc6b1c235c7a150d808eb9a16f3f4952e455f50",
                 "trace.csv": "82fc8c40e18b1a5d621ee35b0b21f01bf024582ac04364a969c3f0fedf3cc86f",
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="optimal_pl"), {
-                "manifest.json": "2a4ab420f128a81d2578870aea9a555d8f731715aecab6caaafe44f9c987d20a",
-                "summary.json": "b3cdccfc7e5e47a8006303bc4119ac352bfa919848fc7a39953010547d3affa5",
-                "trace.csv": "97eafbe087c54fd7ade1facc545245506a2b413b8291a55839619c9416235804",
+                "manifest.json": "baa4eaf2f3bb6f4474d29b4a043cb0a13e07b38434c47ee54dbace8616820474",
+                "summary.json": "b044805e12145c096deb98b1a41816e0cb1ac9a760913e77c0c881f8702dc02c",
+                "trace.csv": "c54be2cff9e5fd2eb9c70af7e4dbb127519041826b27ac4673badb3704f7a349",
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="bq"), {
-                "manifest.json": "9f72a9dfd7546ea183a1b7abd9217323b481d21a57d57fb8c237923798ac894a",
+                "manifest.json": "e829e129d05f4d1a53165d2af754409bb5f39109b18152aad280684fcdfeb5bb",
                 "summary.json": "455f1da0a46de0b0b0cae341611f7872f6da8ca926af631297ef8205b93d0535",
                 "trace.csv": "f871d03cdfaba1130464a9040472a65fa7c9b301389ff7494fb22b89b06c269a",
             }),
             ("rs-grid", dict(README_CONFIG, advice_step=50,
                              gamma_grid={"min": 0.0, "max": 0.5, "points": 5}), {
                 "manifest.json": "71e2dd67257f94c450b834998cd010ef03b84ce88293dd5fcd885c08dbf358d0",
-                "rs_grid.csv": "e227498c12b0566acd50875270cd6b83aaed340f46eec4302a36ea535745d3f2",
+                "rs_grid.csv": "62ba6b09bb7cbf30bf653d32ace3e1fc21855d220c9fb8dbd32801082820aa3e",
             }),
             ("robustness", SWEEP_CONFIG, {
                 "manifest.json": "96789bc02df611caddffd8682ac6905eec3effa70101ed347da385f7fa6cdcd4",
-                "sweep.csv": "fc1dd240dc18e52238b2063f3486bf1f628700fea7eddab2261bad7784073b80",
+                "sweep.csv": "5bf548a013859600b36b10dc7b130502f57faa163ac90cda93ffef89025a0463",
             }),
         ],
         ids=[

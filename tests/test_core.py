@@ -8,23 +8,10 @@ from hypothesis import strategies as st
 from rmadvice import core
 
 from . import oracles
-from .oracles import hard_instances, reference_opt
+from .oracles import hard_instances, ladders_and_advice, reference_opt
 
 # Fixed example sequence, no example database: tier-1 stays deterministic.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
-
-
-@st.composite
-def ladders_and_advice(draw, max_m=5, max_n=8, min_m=1):
-    """A random ladder (any positive increasing fares) with a valid advice."""
-    m = draw(st.integers(min_m, max_m))
-    n = draw(st.integers(1, max_n))
-    first = draw(st.floats(0.01, 100.0))
-    steps = draw(st.lists(st.floats(0.001, 100.0), min_size=m - 1, max_size=m - 1))
-    ladder = core.make_fare_ladder(np.cumsum([first] + steps), n)
-    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
-    counts = np.diff([0] + cuts + [n])
-    return ladder, core.make_advice(ladder, counts)
 
 
 def relative_gap(a, b):

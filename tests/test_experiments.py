@@ -286,7 +286,7 @@ class TestSweep:
         # The same sweep through the CLI, which owns the CSV format.
         cfg = {"fares": list(lad.fares), "capacity": lad.capacity, "advice": list(adv.counts),
                "gamma_grid": [0.2, 0.4], "noise": {"v_list": [0.0, 0.5], "trials": 10}}
-        text = cli.cmd_robustness(cfg, argparse.Namespace(seed=7, epsilon=1e-6))["sweep.csv"]
+        text = cli.cmd_robustness(cfg, argparse.Namespace(seed=7))["sweep.csv"]
         lines = text.strip().split("\n")
         assert lines[0] == "v,gamma,policy,mean_cr,std_cr,trials"
         assert len(lines) == 1 + len(rows)

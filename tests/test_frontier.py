@@ -10,7 +10,7 @@ from rmadvice import cli, core, frontier, lp
 from .oracles import same_bits
 from .test_core import relative_gap
 
-ARGS = argparse.Namespace(seed=0, epsilon=1e-6)  # the CLI's defaults
+ARGS = argparse.Namespace(seed=0)  # the CLI's defaults
 
 
 class TestGammaGrid:

@@ -15,6 +15,7 @@ from .oracles import (
     block_instance,
     concat,
     hard_instances,
+    ladders_and_advice,
     reference_build_pareto_lp,
     reference_check_point,
     reference_opt,
@@ -22,7 +23,7 @@ from .oracles import (
     same_bits,
     vertex_enumeration_lp,
 )
-from .test_core import PROPERTY, ladders_and_advice, relative_gap
+from .test_core import PROPERTY, relative_gap
 
 
 def tiny():

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import cli, core, lp
+from rmadvice import cli, core, experiments, lp
 from rmadvice.policies import (
     ProtectionLevels,
     SwitchPlan,
     _eq_tol,
+    _run_switch,
     _switch_runs,
     bq_levels,
     block_revenue,
     derive_switch_plan,
+    fallback_search,
     run_lp_optimal,
     run_protection_policy,
     run_relaxed_optimal,
@@ -208,6 +210,48 @@ class TestSwitchingPolicy:
             trace = run_lp_optimal(lad, adv, g, inst, plan)
             opt = core.opt_revenue(lad, inst)
             assert trace.revenue >= g * opt - 1e-9 * max(1.0, opt)
+
+    def test_shipped_plans_keep_their_guarantees(self):
+        # Criteria 6 and 7 check simplex plans, but simulate and robustness
+        # run the water-fill plans of experiments._policy_setup.  Forty of
+        # them (m = 2-5) must meet gamma (lp_optimal) and gamma / (1 + eps)
+        # (lp_relaxed) on the hard family and 100 random general-order
+        # instances each, and beta_lp on shuffled advice instances.
+        rng = np.random.default_rng(2020)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(5, 21))
+            lad = core.make_fare_ladder(np.cumsum(rng.uniform(0.5, 10.0, m)), n)
+            counts = rng.multinomial(n - 1, np.full(m, 1.0 / m))
+            counts[0] += 1
+            adv = core.make_advice(lad, counts)
+            gamma = float(rng.uniform(0.0, core.bq_bound(lad)))
+            eps = float(rng.choice([0.05, 0.1, 0.3]))
+            setups = [experiments._policy_setup(lad, adv, "lp_optimal", gamma),
+                      experiments._policy_setup(lad, adv, "lp_relaxed", gamma, eps)]
+            floors = [gamma - 1e-9, gamma / (1.0 + eps) - 1e-9]
+            instances = hard_instances(lad, adv) + [
+                core.Instance(tuple(rng.integers(1, m + 1, size=rng.integers(1, 3 * n + 1))))
+                for _ in range(100)
+            ]
+            for inst in instances:
+                opt = core.opt_revenue(lad, inst)
+                for setup, floor in zip(setups, floors):
+                    assert _run_switch(lad, adv, inst, *setup).revenue / opt >= floor
+            beta = lp.water_fill_plan(lad, adv, gamma).beta_star
+            opt_a = core.advice_opt(lad, adv)
+            steps = list(advice_instance(lad, adv).steps)
+            for _ in range(10):
+                rng.shuffle(steps)
+                inst = core.Instance(tuple(steps))
+                for setup in setups:
+                    revenue = _run_switch(lad, adv, inst, *setup).revenue
+                    assert revenue >= beta * opt_a - 1e-9 * opt_a
+
+    def test_fallback_search_without_a_dominating_row_fails(self):
+        # Each row lies below q = [1, 1] in the other's class, so the
+        # search moves back and forth between them.
+        with pytest.raises(RuntimeError, match="no row dominating"):
+            fallback_search([1.0, 1.0], [0.0, 0.0], [[10.0, 0.5], [0.5, 10.0]], 1e-9)
 
     def test_trigger_requires_class_above_lowest(self):
         # arrivals of the lowest advised class never flip the policy, no

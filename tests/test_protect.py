@@ -2,26 +2,30 @@
 
 import argparse
 import json
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import cli, core, frontier, protect
-from rmadvice.policies import ProtectionLevels, block_revenue, run_protection_policy
+from rmadvice import cli, core, frontier, lp, protect
+from rmadvice.policies import (
+    ProtectionLevels,
+    block_revenue,
+    levels_consistency,
+    run_protection_policy,
+)
 
 from .oracles import (
     advice_instance,
     count_calls,
     hard_instances,
+    ladders_and_advice,
     protection_consistency,
     reference_grow_levels,
     reference_protection_levels,
     same_bits,
 )
-from .test_core import ladders_and_advice
 
 
 def tiny():
@@ -136,17 +140,16 @@ class TestBinarySearch:
             assert hi_b <= lo_b + 2e-6
 
     def test_pass_budget_on_tiny_case(self, monkeypatch):
-        # The bisection makes 20 passes here (c(F) = 2/3 and 19 halvings);
-        # the root search lands on the piece's root, steps one double past
-        # it and grows the levels at the bisection's lower end.
+        # The bisection to the last double makes 53 passes here (c(F) =
+        # 2/3); the root search and the pull-back to the root take 6.
         lad, adv = tiny()
         calls = count_calls(monkeypatch, protect, "grow_levels_for_beta")
-        protect.optimal_protection_levels(lad, adv, 0.5, epsilon=1e-6)
+        protect.optimal_protection_levels(lad, adv, 0.5)
         assert calls[0] <= 6
 
     def test_pass_budget_on_rs_grid(self, monkeypatch):
         # The step-10 rs-grid of the README ladder: 66 advices x 41 gammas,
-        # 20 bisection passes per search.
+        # 20 passes per search for a bisection to 1e-6.
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
         grid = frontier.default_gamma_grid(lad, 41)
         advices = frontier.advice_grid(lad, 10)
@@ -158,58 +161,58 @@ class TestBinarySearch:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(
-        case=ladders_and_advice(max_m=12, max_n=200),
+        case=st.one_of(
+            ladders_and_advice(max_m=12, max_n=200),
+            ladders_and_advice(max_m=12, max_n=200, near_equal=True),
+        ),
         where=st.sampled_from(("zero", "bound", "interior")),
         share=st.floats(0.0, 1.0),
-        epsilon=st.sampled_from((1e-6, 1e-6, 1e-3, 1e-9)),
     )
-    def test_matches_bisection_bitwise(self, case, where, share, epsilon):
-        # beta_pl and every level are what the bisection returned, with at
-        # most four passes more than it made.
+    def test_settles_on_the_slack_free_root(self, case, where, share):
+        # beta_pl is bounded by beta_lp, its levels fit capacity and meet
+        # both targets, and it is no lower than a bisection to 1e-6 with an
+        # exact capacity check finds.
         lad, adv = case
         bound = core.bq_bound(lad)
         gamma = {"zero": 0.0, "bound": bound, "interior": share * bound}[where]
-        ref_levels, ref_beta, ref_passes = reference_protection_levels(lad, adv, gamma, epsilon)
-        with pytest.MonkeyPatch.context() as mp:
-            calls = count_calls(mp, protect, "grow_levels_for_beta")
-            levels, beta = protect.optimal_protection_levels(lad, adv, gamma, epsilon)
-        assert same_bits(beta, ref_beta)
-        assert same_bits(levels.levels, ref_levels)
-        assert calls[0] <= ref_passes + 4
+        levels, beta = protect.optimal_protection_levels(lad, adv, gamma)
+        assert beta <= lp.water_fill_plan(lad, adv, gamma).beta_star * (1.0 + 1e-9)
+        assert levels.levels[-1] <= lad.capacity
+        assert levels_consistency(lad, adv, levels) >= beta - 1e-12
+        _, blocks = core.hard_counts(lad, adv)
+        ratios = block_revenue(lad.fares, levels.levels, blocks) / core.count_opt(lad, blocks)
+        assert ratios.min() >= gamma - 1e-12
+        ref_beta, _, _ = reference_protection_levels(lad, adv, gamma, 1e-6)
+        assert beta >= ref_beta - 1e-6
 
     def test_tiny_epsilon_stops_at_double_resolution(self, monkeypatch):
-        # Below one ulp the interval cannot shrink, so the search must stop
-        # once the midpoint equals an endpoint rather than loop forever.
+        # Every search now runs to double resolution, whatever epsilon
+        # (ignored) asks for: it must stop there rather than loop forever.
         lad, adv = tiny()
-        calls = {"n": 0}
-        original = protect.grow_levels_for_beta
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 200:
-                raise AssertionError("bisection did not stop after 200 passes")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(protect, "grow_levels_for_beta", counting)
+        calls = count_calls(monkeypatch, protect, "grow_levels_for_beta")
         levels, beta = protect.optimal_protection_levels(lad, adv, 0.5, epsilon=1e-300)
+        assert calls[0] <= 53 + 4 + 4  # the bisection's, four more, four pull-backs
         monkeypatch.undo()
         assert protect.grow_levels_for_beta(lad, adv, 0.5, beta).feasible
-        assert not protect.grow_levels_for_beta(
-            lad, adv, 0.5, math.nextafter(beta, 2.0)
-        ).feasible
-        _, coarse = protect.optimal_protection_levels(lad, adv, 0.5, epsilon=1e-6)
-        assert coarse <= beta <= coarse + 1e-6
+        assert (levels, beta) == protect.optimal_protection_levels(lad, adv, 0.5)
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0, 0.0])
-    def test_bad_epsilon_rejected(self, epsilon):
-        lad, adv = tiny()
-        with pytest.raises(ValueError):
-            protect.optimal_protection_levels(lad, adv, 0.5, epsilon=epsilon)
+    def test_near_equal_fares_settle_at_the_bound(self):
+        # The fares differ by 3.3e-5 (relative), so at gamma = c(F) the
+        # top level's tolerance of 1e-9 n spans 3e-5 in beta.  A search that
+        # stopped anywhere in that band put beta_pl above beta_lp and the
+        # top level above n.  Block 1 forces Q_1 >= c(F) n and blocks 1 and
+        # 2 together force Q_1 <= c(F) n, so beta_pl is c(F).
+        lad = core.make_fare_ladder([42.57249869442302, 42.57388976372801], 5)
+        adv = core.make_advice(lad, [5, 0])
+        bound = core.bq_bound(lad)
+        levels, beta = protect.optimal_protection_levels(lad, adv, bound)
+        assert beta <= lp.water_fill_plan(lad, adv, bound).beta_star
+        assert beta == pytest.approx(bound, rel=1e-11)
+        assert levels.levels == pytest.approx((5.0 * bound, 5.0), abs=1e-11)
+        assert max(levels.levels) <= 5.0
 
     def test_invalid_inputs(self):
         lad, adv = tiny()
-        with pytest.raises(ValueError):
-            protect.optimal_protection_levels(lad, adv, 0.5, epsilon=0.0)
         with pytest.raises(ValueError):
             protect.optimal_protection_levels(lad, adv, 0.9)
 
@@ -288,9 +291,10 @@ class TestSerialization:
         levels, beta = protect.optimal_protection_levels(lad, adv, 0.5)
         cand = protect.grow_levels_for_beta(lad, adv, 0.5, beta)
         cfg = {"fares": list(lad.fares), "capacity": 2, "advice": list(adv.counts), "gamma": 0.5}
-        text = cli.cmd_protect(cfg, argparse.Namespace(seed=0, epsilon=1e-6))["levels.json"]
+        text = cli.cmd_protect(cfg, argparse.Namespace(seed=0))["levels.json"]
         payload = json.loads(text)
         assert payload["capacity"] == 2
         assert payload["beta_lower"] == beta
+        assert payload["levels"] == list(levels.levels)
         assert payload["levels"] == pytest.approx(list(cand.levels))
         assert payload["feasible"] is True

@@ -9,8 +9,12 @@ from rmadvice import core, kernels, lp, simplex
 from rmadvice.simplex import solve_simplex
 
 from . import oracles
-from .oracles import reference_solve_simplex, same_bits, vertex_enumeration_lp
-from .test_core import ladders_and_advice
+from .oracles import (
+    ladders_and_advice,
+    reference_solve_simplex,
+    same_bits,
+    vertex_enumeration_lp,
+)
 
 
 class TestHandCases:
