@@ -105,9 +105,7 @@ def _gamma_grid(cfg: dict, ladder: core.FareLadder) -> np.ndarray:
         grid = np.array([_number(g, "gamma_grid entry") for g in entries])
     if grid.size == 0:
         raise ConfigError("gamma_grid must have at least one point")
-    for gamma in grid:
-        _gamma(gamma, ladder)
-    return grid
+    return _checked(core.check_gamma, ladder, grid)
 
 
 def _csv(header, rows) -> str:

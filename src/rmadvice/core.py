@@ -69,9 +69,6 @@ class Instance:
 
     steps: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def make_fare_ladder(fares, capacity: int) -> FareLadder:
     """Validate and build a fare ladder."""
@@ -144,12 +141,14 @@ def fare_counts(instance: Instance, m: int) -> np.ndarray:
     return np.bincount(np.asarray(instance.steps, dtype=np.int64), minlength=m + 1)[1:]
 
 
-def check_gamma(ladder: FareLadder, gamma: float) -> float:
+def check_gamma(ladder: FareLadder, gamma):
     """Return ``gamma`` if it lies in ``[0, c(F)]`` (with 1e-12 slack at the
-    top), else raise ``ValueError``; NaN is rejected."""
+    top), else raise ``ValueError`` naming the first bad lane of an array of
+    gammas; NaN is rejected."""
     bound = bq_bound(ladder)
-    if not 0.0 <= gamma <= bound + 1e-12:
-        raise ValueError(f"gamma {gamma!r} must lie in [0, c(F)] = [0, {bound!r}]")
+    for value in (gamma,) if isinstance(gamma, float) else np.ravel(gamma).tolist():
+        if not 0.0 <= value <= bound + 1e-12:
+            raise ValueError(f"gamma {value!r} must lie in [0, c(F)] = [0, {bound!r}]")
     return gamma
 
 
@@ -266,9 +265,7 @@ def hard_counts(ladder: FareLadder, advice: Advice) -> tuple[np.ndarray, np.ndar
 
 def advice_opt(ladder: FareLadder, advice: Advice) -> float:
     """Revenue of serving exactly the advised counts."""
-    return float(
-        sum(f * a for f, a in zip(ladder.fares, advice.counts))
-    )
+    return float(sum(f * a for f, a in zip(ladder.fares, advice.counts)))
 
 
 def count_distance(advice: Advice, counts) -> np.ndarray:

@@ -136,22 +136,32 @@ def average_cr(
 
 
 def _policy_setup(
-    ladder: core.FareLadder, advice: core.Advice, policy: str, gamma: float,
-    relaxed_epsilon: float = 0.1,
+    ladder: core.FareLadder, advice: core.Advice, policy, gamma, relaxed_epsilon: float = 0.1,
 ):
     """A policy's inputs at ``(advice, gamma)``: levels, or a switch plan
     with its trigger slack.  The one map from a policy name to its set-up,
-    for the sweeps here and for the CLI's ``simulate``."""
-    if policy in ("lp_optimal", "lp_relaxed"):
-        if policy == "lp_relaxed" and relaxed_epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        eps = relaxed_epsilon if policy == "lp_relaxed" else 0.0
-        return derive_switch_plan(lp.water_fill_plan(ladder, advice, gamma)), eps
-    if policy == "optimal_pl":
-        return protect.optimal_protection_levels(ladder, advice, gamma)[0]
-    if policy == "bq":
-        return bq_levels(ladder)
-    raise ValueError(f"unknown policy {policy!r}")
+    for the sweeps here and for the CLI's ``simulate``.  A list of names
+    gives one set-up per name, and an array of gammas (lanes) a list over
+    them from one call of each search; the switching policies share it."""
+    lanes, plans, made = not isinstance(gamma, float) and bool(np.shape(gamma)), None, []
+    for name in [policy] if isinstance(policy, str) else policy:
+        if name in ("lp_optimal", "lp_relaxed"):
+            if name == "lp_relaxed" and relaxed_epsilon <= 0.0:
+                raise ValueError("epsilon must be positive")
+            if plans is None:
+                solved = lp.water_fill_plan(ladder, advice, gamma)
+                plans = [derive_switch_plan(sol) for sol in (solved if lanes else [solved])]
+            slack = relaxed_epsilon if name == "lp_relaxed" else 0.0
+            made.append([(plan, slack) for plan in plans])
+        elif name == "optimal_pl":
+            searched = protect.optimal_protection_levels(ladder, advice, gamma)
+            made.append([levels for levels, _ in (searched if lanes else [searched])])
+        elif name == "bq":
+            made.append([bq_levels(ladder)] * (len(gamma) if lanes else 1))
+        else:
+            raise ValueError(f"unknown policy {name!r}")
+    made = made if lanes else [setups[0] for setups in made]
+    return made[0] if isinstance(policy, str) else made
 
 
 def _realized_ratios(
@@ -203,24 +213,21 @@ def robustness_sweep(
     Each (advice, noise) cell samples its instances once and shares them
     across gammas and policies, so curves are compared on common draws; the
     per-cell seed is derived from the top seed and the (advice, noise)
-    indices.  Each (advice, gamma, policy) sets up its plan or levels once
-    for all noise levels.  The robustness bound is checked on every trial
-    of the protection-level policies.
+    indices.  Each advice sets up its policies once for all noise levels,
+    with one lane call of each search over the gammas.  The robustness
+    bound is checked on every trial of the protection-level policies.
     """
     rows: list[SweepRow] = []
     # Built first, so that a bad noise level or trial count fails before set-up.
     noises = [[NoiseConfig(float(v), trials, derive_key(seed, ai * 1024 + vi))
                for vi, v in enumerate(v_list)] for ai in range(len(advices))]
+    gammas = np.asarray(gammas, dtype=float)
     for advice, advice_noises in zip(advices, noises):
-        setups = [
-            [_policy_setup(ladder, advice, p, float(gamma)) for p in policies]
-            for gamma in gammas
-        ]
+        setups = _policy_setup(ladder, advice, policies, gammas)  # per policy, per gamma
         for noise in advice_noises:
             counts = sample_counts(ladder, advice, noise)
-            for gamma, gamma_setups in zip(gammas, setups):
-                for policy, setup in zip(policies, gamma_setups):
-                    mean, std = _mean_std(_realized_ratios(ladder, advice, setup, counts))
-                    rows.append(SweepRow(noise.v, float(gamma), policy, mean, std, noise.trials))
+            for i, gamma in enumerate(gammas.tolist()):
+                for policy, setup in zip(policies, setups):
+                    mean, std = _mean_std(_realized_ratios(ladder, advice, setup[i], counts))
+                    rows.append(SweepRow(noise.v, gamma, policy, mean, std, noise.trials))
     return rows
-

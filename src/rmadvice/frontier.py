@@ -39,22 +39,18 @@ def consistency_frontier(
 ) -> FrontierCurve:
     """Evaluate both consistency curves over a gamma grid.
 
-    ``beta_lp`` comes from ``lp.water_fill_plan``, whose point must pass
-    ``lp.verify``; the gamma-free part of the LP is built once.
+    ``beta_lp`` comes from ``lp.water_fill_plan``, whose points must pass
+    ``lp.verify``.  Each search takes the whole grid as lanes in one call.
     """
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(ladder)
     gammas = np.asarray(gamma_grid, dtype=float)
-    beta_lp = np.empty_like(gammas)
-    beta_pl = np.empty_like(gammas)
-    base = lp.build_pareto_lp(ladder, advice, 0.0)
-    for i, g in enumerate(gammas):
-        beta_lp[i] = lp.water_fill_plan(ladder, advice, float(g), base).beta_star
-        _, beta_pl[i] = protect.optimal_protection_levels(ladder, advice, float(g))
+    plans = lp.water_fill_plan(ladder, advice, gammas)
+    levels = protect.optimal_protection_levels(ladder, advice, gammas)
     return FrontierCurve(
         gammas=gammas,
-        beta_lp=beta_lp,
-        beta_pl=beta_pl,
+        beta_lp=np.array([plan.beta_star for plan in plans]),
+        beta_pl=np.array([beta for _, beta in levels]),
         bq_consistency=levels_consistency(ladder, advice, bq_levels(ladder)),
     )
 
@@ -79,27 +75,19 @@ def advice_grid(ladder: core.FareLadder, step: int) -> list[core.Advice]:
     the total at capacity.
     """
     n = ladder.capacity
-    m = ladder.m
     if step < 1 or n % step != 0:
         raise ValueError("step must be a positive divisor of the capacity")
 
-    points: list[tuple[int, ...]] = []
-
-    def compose(prefix: list[int], remaining: int, slots: int):
+    def compose(remaining: int, slots: int) -> list[list[int]]:
         if slots == 1:
-            points.append(tuple(prefix + [remaining]))
-            return
-        for v in range(0, remaining + 1, step):
-            compose(prefix + [v], remaining - v, slots - 1)
+            return [[remaining]]
+        return [[v, *rest] for v in range(0, remaining + 1, step)
+                for rest in compose(remaining - v, slots - 1)]
 
-    compose([], n, m)
     advices = []
-    for counts in points:
-        counts = list(counts)
+    for counts in compose(n, ladder.m):
         if counts[0] == 0:
             counts[0] = 1
-            top = max(i for i, v in enumerate(counts[1:], start=1) if v > 0)
-            counts[top] -= 1
+            counts[max(i for i, v in enumerate(counts) if i > 0 and v > 0)] -= 1
         advices.append(core.make_advice(ladder, counts))
     return advices
-

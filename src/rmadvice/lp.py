@@ -25,7 +25,7 @@ needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +38,11 @@ class LPModel:
     objective: np.ndarray
     rows: np.ndarray
     senses: list[str]
-    rhs: np.ndarray
+    rhs: np.ndarray  # (rows,), or (rows, lanes) for an array of gammas
     upper: np.ndarray
     labels: list[str]
     m: int
-    gamma: float
+    gamma: float  # or the array of the lanes' gammas
     capacity: int
     advice_opt_scaled: float  # advice revenue under the rescaled fares
     scaled_fares: tuple[float, ...] = ()
@@ -60,23 +60,23 @@ class LPSolution:
     max_violation: float = np.nan
 
 
-def build_pareto_lp(
-    ladder: core.FareLadder, advice: core.Advice, gamma: float, base: LPModel | None = None
-) -> LPModel:
+def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma) -> LPModel:
     """Assemble the LP for one (ladder, advice, gamma) triple.  Only the rhs
-    depends on gamma: ``base``, a model of the same ladder and advice, lends
-    the rest, so that a gamma sweep builds it once."""
+    depends on gamma: given an array of gammas (lanes), the rest is built
+    once and the rhs holds one column per lane."""
     core.check_gamma(ladder, gamma)
-    base = _gamma_free_part(ladder, advice) if base is None else base
-    m, opt, n = base.m, base.family_opt, float(base.capacity)
-    rhs = np.concatenate([np.full(m, n), gamma * opt[:m], [0.0], gamma * opt[m:]])
-    return replace(base, rhs=rhs, gamma=gamma)
+    model = _gamma_free_part(ladder, advice)
+    m, opt, n, lanes = model.m, model.family_opt, float(model.capacity), np.shape(gamma)
+    model.rhs = np.concatenate([
+        np.full((m, *lanes), n), np.multiply.outer(opt[:m], gamma),
+        np.zeros((1, *lanes)), np.multiply.outer(opt[m:], gamma),
+    ])
+    model.gamma = np.asarray(gamma, dtype=float) if lanes else gamma
+    return model
 
 
 def _gamma_free_part(ladder: core.FareLadder, advice: core.Advice) -> LPModel:
-    m = ladder.m
-    n = ladder.capacity
-    scale = ladder.fares[-1]
+    m, n, scale = ladder.m, ladder.capacity, ladder.fares[-1]
     sf = tuple(f / scale for f in ladder.fares)
     scaled = core.FareLadder(fares=sf, capacity=n)
     opt_advice = core.advice_opt(scaled, advice)
@@ -87,26 +87,20 @@ def _gamma_free_part(ladder: core.FareLadder, advice: core.Advice) -> LPModel:
 
     # Columns: beta, x, then y(k) row-major.  Row k-1 of ``lower`` marks
     # classes 1..k, and of ``revenue`` holds their scaled fares.
+    nvars, cls = 1 + m + m * m, np.arange(m)
     lower = np.tri(m)
     revenue = lower * np.asarray(sf)
-    fallback = np.zeros((m, m, m, m))  # continuation row (k, i), column y(k)_j
-    fallback[np.arange(m), :, np.arange(m), :] = revenue
-    rows = np.vstack([
-        np.hstack([np.zeros((m, 1)), lower, np.repeat(np.eye(m), m, axis=1)]),
-        np.hstack([np.zeros((m, 1)), revenue, np.zeros((m, m * m))]),
-        np.concatenate([[-opt_advice], sf, np.zeros(m * m)]),
-        np.hstack([
-            np.zeros((m * m, 1)), np.repeat(revenue, m, axis=0), fallback.reshape(m * m, m * m)
-        ]),
-    ])
+    rows = np.zeros((2 * m + 1 + m * m, nvars))
+    rows[:m, 1 : 1 + m] = lower
+    rows[:m, 1 + m :].reshape(m, m, m)[cls, cls] = 1.0  # capacity row k: all of y(k)
+    rows[m : 2 * m, 1 : 1 + m] = revenue
+    rows[2 * m, 0], rows[2 * m, 1 : 1 + m] = -opt_advice, sf
+    continued = rows[2 * m + 1 :].reshape(m, m, nvars)  # continuation row (k, i)
+    continued[..., 1 : 1 + m] = revenue[:, None]
+    continued[..., 1 + m :].reshape(m, m, m, m)[cls, :, cls] = revenue  # its y(k) columns
 
-    nvars = 1 + m + m * m
-    upper = np.full(nvars, np.inf)
-    upper[0] = 1.0
-    upper[1 : 1 + m] = advice.cap_counts
-
-    objective = np.zeros(nvars)
-    objective[0] = 1.0
+    upper = np.concatenate([[1.0], advice.cap_counts, np.full(m * m, np.inf)])
+    objective = np.eye(1, nvars)[0]  # maximize beta
 
     labels = ["beta"] + [f"x_{j}" for j in range(1, m + 1)] + [
         f"y_{k}_{j}" for k in range(1, m + 1) for j in range(1, m + 1)
@@ -118,37 +112,44 @@ def _gamma_free_part(ladder: core.FareLadder, advice: core.Advice) -> LPModel:
     )
 
 
-def check_point(model: LPModel, point: np.ndarray) -> float:
+def check_point(model: LPModel, point: np.ndarray):
     """Largest normalized constraint violation of a candidate point.
 
     Independent of the solver: evaluates every row and bound of the model
-    directly.  Each row's violation is divided by its largest coefficient
-    magnitude (including the rhs).  A NaN anywhere makes the result NaN.
+    directly, for a lane model on its points stacked on the last axis (one
+    ``rows @ point`` product).  Each row's violation is divided by its
+    largest coefficient magnitude (including the rhs).  A NaN anywhere
+    makes the result NaN.
     """
     point = np.asarray(point, dtype=float)
+    col = (slice(None),) + (None,) * (point.ndim - 1)  # a row's value, for every lane
     lhs = model.rows @ point
-    ge = np.array([s == ">=" for s in model.senses], dtype=bool)
+    ge = np.array([s == ">=" for s in model.senses], dtype=bool)[col]
     violation = np.where(ge, model.rhs - lhs, lhs - model.rhs)
-    norm = np.maximum(np.abs(model.rows).max(axis=1), np.abs(model.rhs))
+    norm = np.maximum(np.abs(model.rows).max(axis=1)[col], np.abs(model.rhs))
     bounded = np.isfinite(model.upper)
-    u = model.upper[bounded]
+    u = model.upper[bounded][col]
     worst = np.max(np.concatenate([
         violation / np.maximum(norm, 1e-300),
         -point,
         (point[bounded] - u) / np.maximum(np.abs(u), 1.0),
-    ]))
+    ]), axis=0)
+    if point.ndim > 1:
+        return np.where(worst <= 0.0, 0.0, worst)
     return 0.0 if worst <= 0.0 else float(worst)
 
 
-def verify(model: LPModel, status: str, point) -> float:
+def verify(model: LPModel, status: str, point):
     """Gate a point returned for the model: raise ``SolverError`` unless
     the solve was optimal and ``check_point`` finds the point violating no
-    row or bound by more than 1e-9 (a NaN fails).  Returns the violation."""
+    row or bound by more than 1e-9 (a NaN fails), naming a lane model's
+    first failing gamma.  Returns the violation."""
     if status != "optimal":
         raise SolverError(f"LP not optimal at gamma={model.gamma}: {status}")
     violation = check_point(model, point)
-    if not violation <= 1e-9:
-        raise SolverError(f"LP point at gamma={model.gamma} violates the model by {violation}")
+    for gamma, v in zip(np.ravel(model.gamma).tolist(), np.ravel(violation).tolist()):
+        if not v <= 1e-9:
+            raise SolverError(f"LP point at gamma={gamma} violates the model by {v}")
     return violation
 
 
@@ -177,11 +178,8 @@ def solve_lp(model: LPModel) -> LPSolution:
     m = model.m
     beta_star = float(result.x[0])
     point = result.x
-    nvars = model.rows.shape[1]
-    secondary = np.zeros(nvars)
-    secondary[1 + m :] = np.tile(model.scaled_fares, m)
-    floor_row = np.zeros(nvars)
-    floor_row[0] = 1.0
+    secondary = np.concatenate([np.zeros(1 + m), np.tile(model.scaled_fares, m)])
+    floor_row = np.eye(1, model.rows.shape[1])[0]  # beta
     try:
         refined = solve_simplex(
             secondary,
@@ -194,20 +192,11 @@ def solve_lp(model: LPModel) -> LPSolution:
         violation, point = verify(model, refined.status, refined.x), refined.x
     except SolverError:
         pass
-    return LPSolution(
-        status="optimal",
-        beta_star=beta_star,
-        x=point[1 : 1 + m].copy(),
-        y=point[1 + m :].reshape(m, m).copy(),
-        gamma=model.gamma,
-        m=m,
-        max_violation=violation,
-    )
+    x, y = point[1 : 1 + m].copy(), point[1 + m :].reshape(m, m).copy()
+    return LPSolution("optimal", beta_star, x, y, model.gamma, m, violation)
 
 
-def water_fill_plan(
-    ladder: core.FareLadder, advice: core.Advice, gamma: float, base: LPModel | None = None
-) -> LPSolution:
+def water_fill_plan(ladder: core.FareLadder, advice: core.Advice, gamma):
     """The LP's best beta and a plan attaining it, without a simplex: the
     largest beta in [c(F), 1] that the water-fill pass passes, the pass's x,
     and the least fallback y(k) for it, with the seats left unsold at class
@@ -215,27 +204,54 @@ def water_fill_plan(
     pass's predicted roots; beta is then pulled back from it to the
     slack-free root of its binding check where that lies on its piece.
     The point must pass ``verify``; a pass failing at c(F) raises
-    ``SolverError``.  ``base`` goes to ``build_pareto_lp``."""
-    model = build_pareto_lp(ladder, advice, gamma, base)
-    fill = _water_fill(model)
+    ``SolverError``.  An array of gammas (lanes) gives a list of one
+    solution per lane: the model is built once, each lane searched as a
+    lone gamma is, and the plans finished and gated together."""
+    model = build_pareto_lp(ladder, advice, gamma)
     # The upper end is never tried: one double above 1 lets beta reach 1.
-    _, found = core.largest_feasible(fill, core.bq_bound(ladder), math.nextafter(1.0, 2.0))
-    if found is None:
-        raise SolverError(f"water-fill pass infeasible at gamma={gamma} and beta=c(F)")
-    x, beta = found
-    m, f, x = model.m, np.array(model.scaled_fares), np.array(x)
-    paid = np.cumsum(f * x)[:, None]  # P_k, summed as in the pass
-    steps = np.zeros((m, m + 1))  # row k-1: S_0 = 0, then S_1..S_m of a trigger at k
-    steps[:, 1:] = np.maximum(0.0, model.rhs[2 * m + 1 :].reshape(m, m) - paid)
+    lo, hi, found = core.bq_bound(ladder), math.nextafter(1.0, 2.0), []
+    for g, lane in zip(np.ravel(model.gamma).tolist(), _lanes(model)):
+        _, plan = core.largest_feasible(_water_fill(lane), lo, hi)
+        if plan is None:
+            raise SolverError(f"water-fill pass infeasible at gamma={g} and beta=c(F)")
+        found.append(plan)
+    m, f, count = model.m, np.array(model.scaled_fares), len(found)
+    x, beta = np.array([p[0] for p in found]).reshape(count, m), [p[1] for p in found]
+    paid = np.cumsum(f * x, axis=1)[..., None]  # P_k, summed as in the pass
+    steps = np.zeros((count, m, m + 1))  # row k-1: S_0 = 0, then S_1..S_m of a trigger at k
+    targets = np.reshape(model.rhs.T[..., 2 * m + 1 :], (count, m, m))
+    steps[..., 1:] = np.maximum(0.0, targets - paid)
     y = np.diff(steps) / f
-    y[:, -1] += np.maximum(0.0, model.capacity - np.cumsum(x) - y.sum(axis=1))
-    point = np.concatenate([[beta], x, y.ravel()])
-    return LPSolution("optimal", beta, x, y, gamma, m, verify(model, "optimal", point))
+    y[..., -1] += np.maximum(0.0, model.capacity - np.cumsum(x, axis=1) - y.sum(axis=2))
+    point = np.concatenate([[beta], x.T, y.reshape(count, m * m).T])  # a column per lane
+    if model.rhs.ndim == 1:  # one gamma
+        violation = verify(model, "optimal", point[:, 0])
+        return LPSolution("optimal", beta[0], x[0], y[0], gamma, m, violation)
+    violation = np.broadcast_to(verify(model, "optimal", point), count)
+    return [LPSolution("optimal", *fields, m, v)
+            for *fields, v in zip(beta, x, y, model.gamma.tolist(), violation)]
 
 
-def _water_fill(model: LPModel):
-    """The paper's water-filling at the model's gamma, as a trial of beta
-    for ``core.largest_feasible``.
+def _lanes(model: LPModel) -> list:
+    """Each lane's inputs to ``_water_fill``, from one ``tolist`` of the rhs."""
+    m, n, f = model.m, float(model.capacity), model.scaled_fares
+    opt_advice = model.advice_opt_scaled
+    caps = model.upper[1 : 1 + m].tolist()
+    tails = [sum(c * fj for c, fj in zip(caps[k + 1 :], f[k + 1 :])) for k in range(m)]
+    weights = [1.0 / a - 1.0 / b for a, b in zip(f, f[1:])] + [1.0 / f[-1]]
+    lanes = []
+    for rhs in np.reshape(model.rhs.T, (-1, len(model.rhs))).tolist():
+        floors, targets = rhs[m : 2 * m], rhs[2 * m + 1 :]
+        # beta at which the consistency term overtakes gamma Opt(prefix_k)
+        bends = [(floor + tail) / opt_advice for floor, tail in zip(floors, tails)]
+        fallback = [list(zip(weights, targets[k * m : k * m + m])) for k in range(m)]
+        lanes.append((n, opt_advice, list(zip(f, caps, floors, tails, fallback, bends))))
+    return lanes
+
+
+def _water_fill(lane):
+    """The paper's water-filling at one lane's gamma (``lane`` is one of
+    ``_lanes``), as a trial of beta for ``core.largest_feasible``.
 
     Classes fill in increasing order on top of the revenue P_{k-1} below:
     x_k is the least amount reaching gamma Opt(prefix_k) and, with the
@@ -263,16 +279,7 @@ def _water_fill(model: LPModel):
     piece the line says nothing, and a near-flat one can throw it far).  A
     root short of the piece by rounding alone settles at the piece's end.
     """
-    m, n, f = model.m, float(model.capacity), model.scaled_fares
-    opt_advice = model.advice_opt_scaled
-    caps = model.upper[1 : 1 + m].tolist()
-    floors = model.rhs[m : 2 * m].tolist()
-    tails = [sum(c * fj for c, fj in zip(caps[k + 1 :], f[k + 1 :])) for k in range(m)]
-    # beta at which the consistency term overtakes gamma Opt(prefix_k)
-    bends = [(floor + tail) / opt_advice for floor, tail in zip(floors, tails)]
-    weights = [1.0 / a - 1.0 / b for a, b in zip(f, f[1:])] + [1.0 / f[-1]]
-    targets = [list(zip(weights, t)) for t in model.rhs[2 * m + 1 :].reshape(m, m).tolist()]
-    classes = list(zip(f, caps, floors, tails, targets, bends))
+    n, opt_advice, classes = lane
     slack = 1e-12 * n
     inf = math.inf
 

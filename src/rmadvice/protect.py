@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import core
 from .policies import ProtectionLevels, _eq_tol
 
@@ -129,9 +131,9 @@ def _advice_terms(ladder: core.FareLadder, advice: core.Advice) -> tuple:
 def optimal_protection_levels(
     ladder: core.FareLadder,
     advice: core.Advice,
-    gamma: float,
+    gamma,
     epsilon: float | None = None,
-) -> tuple[ProtectionLevels, float]:
+):
     """The largest consistency attainable at ratio ``gamma`` and the
     levels grown at it, capped at capacity: ``beta_pl``.
 
@@ -141,26 +143,27 @@ def optimal_protection_levels(
     (at gamma = c(F)), but on near-equal fares it is wide in beta, so the
     answer is pulled back to the pass's slack-free root (``settle``) and
     the levels grown again there, a few times at most, until the top level
-    fits or the root stops moving.  ``epsilon`` is ignored; it is kept
-    only for callers that pass it positionally.
+    fits or the root stops moving.  An array of gammas (lanes) gives a list
+    of such pairs, one per lane.  ``epsilon`` is ignored; it is kept only
+    for callers that pass it positionally.
     """
     core.check_gamma(ladder, gamma)
     terms = _advice_terms(ladder, advice)
-
-    def trial(beta):
-        candidate = grow_levels_for_beta(ladder, advice, gamma, beta, terms)
-        return (candidate if candidate.feasible else None), candidate.root
-
     # The upper end is never tried: one double above 1 lets beta reach 1.
-    beta, candidate = core.largest_feasible(
-        trial, core.bq_bound(ladder), math.nextafter(1.0, 2.0)
-    )
-    if candidate is None:
-        raise RuntimeError(f"growing pass infeasible at beta={beta!r}")
-    for _ in range(4):
-        if not candidate.settle < beta:  # the top level fits, or the root stays
-            break
-        beta = candidate.settle
-        candidate = grow_levels_for_beta(ladder, advice, gamma, beta, terms)
-    n = float(ladder.capacity)
-    return ProtectionLevels(levels=tuple(min(v, n) for v in candidate.levels)), beta
+    lo, hi, n = core.bq_bound(ladder), math.nextafter(1.0, 2.0), float(ladder.capacity)
+    found = []
+    for g in [gamma] if isinstance(gamma, float) else np.ravel(gamma).tolist():
+        def trial(beta, g=g):
+            candidate = grow_levels_for_beta(ladder, advice, g, beta, terms)
+            return (candidate if candidate.feasible else None), candidate.root
+
+        beta, candidate = core.largest_feasible(trial, lo, hi)
+        if candidate is None:
+            raise RuntimeError(f"growing pass infeasible at beta={beta!r}")
+        for _ in range(4):
+            if not candidate.settle < beta:  # the top level fits, or the root stays
+                break
+            beta = candidate.settle
+            candidate = grow_levels_for_beta(ladder, advice, g, beta, terms)
+        found.append((ProtectionLevels(levels=tuple(min(v, n) for v in candidate.levels)), beta))
+    return found[0] if isinstance(gamma, float) or not np.shape(gamma) else found

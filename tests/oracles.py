@@ -98,7 +98,7 @@ def vertex_enumeration_lp(c, A, senses, b, upper=None, tol=1e-9):
 
 def reference_opt(ladder: core.FareLadder, instance: Instance) -> float:
     """Offline optimum: revenue of the ``capacity`` highest fares present."""
-    if len(instance) == 0:
+    if len(instance.steps) == 0:
         return 0.0
     vals = np.array([ladder.fares[s - 1] for s in instance.steps], dtype=float)
     vals[::-1].sort()  # descending
@@ -518,7 +518,7 @@ def reference_protection_levels(ladder, advice, gamma, epsilon=1e-6):
 def reference_water_fill_beta(ladder, advice, gamma):
     """The last double in [c(F), 1] that the water-fill pass passes, by
     bisection, and the number of passes: ``(beta, passes)``."""
-    fill = lp._water_fill(lp.build_pareto_lp(ladder, advice, gamma))
+    fill = lp._water_fill(*lp._lanes(lp.build_pareto_lp(ladder, advice, gamma)))
     beta, _, passes = bisect_largest_feasible(
         lambda b: fill(b)[0], core.bq_bound(ladder), math.nextafter(1.0, 2.0), 0.0
     )

@@ -28,7 +28,7 @@ from rmadvice.policies import (
 )
 from rmadvice.rng import derive_key
 
-from .oracles import sample_instance
+from .oracles import count_calls, sample_instance
 
 # Fixed example sequence, no example database: tier-1 stays deterministic.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -323,6 +323,23 @@ class TestSweep:
         )
         assert len(rows) == 3 * 10 * 3
         assert calls == {"lp": 3, "levels": 3}
+
+    def test_switching_policies_share_one_lane_call_per_advice(self, monkeypatch):
+        # lp_optimal and lp_relaxed share their plans, and each search takes
+        # an advice's gammas as lanes in one call; the rows are those of
+        # policies set up on their own.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
+        advices = [core.make_advice(lad, a) for a in ([70, 20, 10], [10, 20, 70])]
+        kwargs = dict(gammas=[0.0, 0.2, 0.2, 0.4, core.bq_bound(lad)], v_list=[0.0, 0.5],
+                      trials=20, seed=3)
+        alone = {p: robustness_sweep(lad, advices, policies=(p,), **kwargs)
+                 for p in ("lp_optimal", "lp_relaxed", "optimal_pl", "bq")}
+        plans = count_calls(monkeypatch, lp, "water_fill_plan")
+        levels = count_calls(monkeypatch, protect, "optimal_protection_levels")
+        rows = robustness_sweep(lad, advices, policies=tuple(alone), **kwargs)
+        assert (plans[0], levels[0]) == (2, 2)
+        for policy, own in alone.items():
+            assert [r for r in rows if r.policy == policy] == own
 
     @pytest.mark.parametrize("v_list, trials", [([0.5, 1.5], 5), ([-0.1], 5), ([0.5], 0)])
     def test_bad_noise_fails_before_any_set_up(self, monkeypatch, v_list, trials):

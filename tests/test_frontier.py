@@ -5,9 +5,9 @@ import argparse
 import numpy as np
 import pytest
 
-from rmadvice import cli, core, frontier, lp
+from rmadvice import cli, core, frontier, lp, protect
 
-from .oracles import same_bits
+from .oracles import count_calls, same_bits
 from .test_core import relative_gap
 
 ARGS = argparse.Namespace(seed=0)  # the CLI's defaults
@@ -63,6 +63,22 @@ class TestFrontierCurve:
         for g, beta in zip(grid, curve.beta_lp):
             assert same_bits(beta, lp.water_fill_plan(lad, adv, float(g)).beta_star)
             assert relative_gap(beta, lp.optimal_consistency(lad, adv, float(g)).beta_star) <= 1e-9
+
+    def test_one_build_gate_and_terms_per_advice(self, monkeypatch):
+        # The fixed costs of a frontier are paid once per advice, not once
+        # per gamma: one gamma-free model, one gate product over all 41
+        # lanes, and one set of the protection-level pass's advice terms.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
+        adv = core.make_advice(lad, [10, 20, 70])
+        builds = count_calls(monkeypatch, lp, "_gamma_free_part")
+        terms = count_calls(monkeypatch, protect, "_advice_terms")
+        gate, gated = lp.check_point, []
+        monkeypatch.setattr(
+            lp, "check_point", lambda model, point: gated.append(np.shape(point)) or gate(model, point)
+        )
+        curve = frontier.consistency_frontier(lad, adv, frontier.default_gamma_grid(lad, 41))
+        assert curve.beta_lp.shape == curve.beta_pl.shape == (41,)
+        assert (builds[0], terms[0], gated) == (1, 1, [(1 + 3 + 9, 41)])
 
     @pytest.mark.parametrize("violation", [1.0, 2e-9, float("nan")])
     def test_violating_lp_point_raises(self, monkeypatch, violation):

@@ -1,11 +1,13 @@
 """Consistency/competitiveness LP: shape, known optima, cross-checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, frontier, lp
+from rmadvice import core, frontier, lp, protect
 from rmadvice.policies import bq_levels, run_protection_policy
 from rmadvice.simplex import SimplexResult
 
@@ -338,7 +340,7 @@ class TestWaterFill:
         lad, adv = case
         bound = core.bq_bound(lad)
         model = lp.build_pareto_lp(lad, adv, share * bound)
-        fill = lp._water_fill(model)
+        fill = lp._water_fill(*lp._lanes(model))
         beta = lp.water_fill_plan(lad, adv, model.gamma).beta_star
         betas = [bound + s * (1.0 - bound) for s in shares] + [1.0, beta * (1 - 2e-8)]
         betas = sorted(b for b in betas if bound <= b and abs(b - beta) > 1e-8 * beta)
@@ -359,7 +361,7 @@ class TestWaterFill:
         beta_star = lp.optimal_consistency(lad, adv, gamma).beta_star
         assert relative_gap(plan.beta_star, beta_star) <= 1e-9
         assert plan.beta_star == pytest.approx(0.91084, abs=1e-5)
-        fill = lp._water_fill(lp.build_pareto_lp(lad, adv, gamma))
+        fill = lp._water_fill(*lp._lanes(lp.build_pareto_lp(lad, adv, gamma)))
         assert all(fill(b)[0] is not None for b in np.linspace(core.bq_bound(lad), beta_star, 200))
 
     def test_infeasible_pass_raises(self, monkeypatch):
@@ -381,15 +383,88 @@ class TestWaterFill:
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
     @given(case=ladders_and_advice(max_m=6, max_n=40), shares=st.lists(st.floats(0.0, 1.0)))
     def test_rhs_rebuild_matches_fresh_build_bitwise(self, case, shares):
+        # Each lane of a multi-gamma build is a fresh one-gamma build.
         lad, adv = case
-        base = lp.build_pareto_lp(lad, adv, 0.0)
-        for share in shares:
-            gamma = share * core.bq_bound(lad)
+        gammas = [share * core.bq_bound(lad) for share in shares]
+        lanes = lp.build_pareto_lp(lad, adv, gammas)
+        assert lanes.rhs.shape == (lanes.rows.shape[0], len(gammas))
+        for i, gamma in enumerate(gammas):
             fresh = lp.build_pareto_lp(lad, adv, gamma)
-            rebuilt = lp.build_pareto_lp(lad, adv, gamma, base)
-            for name in ("objective", "rows", "rhs", "upper"):
-                assert same_bits(getattr(rebuilt, name), getattr(fresh, name))
-            assert rebuilt.gamma == gamma
+            for name in ("objective", "rows", "upper"):
+                assert same_bits(getattr(lanes, name), getattr(fresh, name))
+            assert same_bits(lanes.rhs[:, i], fresh.rhs)
+            assert lanes.gamma[i] == gamma
+
+
+class TestLanes:
+    """An array of gammas (lanes) against one call per gamma: every lane
+    is searched as a lone gamma is, so both searches agree bit for bit; the
+    lanes are gated together by one product."""
+
+    @staticmethod
+    def stacked(plans):
+        """The plans' points, one column per lane."""
+        return np.array([np.concatenate([[p.beta_star], p.x, p.y.ravel()]) for p in plans]).T
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        case=st.booleans().flatmap(
+            lambda near: ladders_and_advice(max_m=12, max_n=100, near_equal=near)
+        ),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_lanes_match_one_gamma_calls_bitwise(self, case, shares, data):
+        lad, adv = case
+        bound = core.bq_bound(lad)
+        gammas = [0.0, bound] + [share * bound for share in shares]
+        gammas = data.draw(st.permutations(gammas + gammas[1::2]))  # with repeats
+        plans = lp.water_fill_plan(lad, adv, np.array(gammas))
+        searched = protect.optimal_protection_levels(lad, adv, np.array(gammas))
+        gate = lp.check_point(lp.build_pareto_lp(lad, adv, gammas), self.stacked(plans))
+        assert len(plans) == len(searched) == len(gate) == len(gammas)
+        for gamma, plan, (levels, beta_pl), violation in zip(gammas, plans, searched, gate):
+            one = lp.water_fill_plan(lad, adv, gamma)
+            for name in ("beta_star", "x", "y"):
+                assert same_bits(getattr(plan, name), getattr(one, name))
+            assert plan.gamma == gamma and same_bits(plan.max_violation, violation)
+            # The lone gamma's violation is check_point's on its point.
+            point = np.concatenate([[one.beta_star], one.x, one.y.ravel()])
+            assert lp.check_point(lp.build_pareto_lp(lad, adv, gamma), point) == one.max_violation
+            assert (violation <= 1e-9) == (one.max_violation <= 1e-9)
+            assert abs(violation - one.max_violation) <= 1e-15
+            one_levels, one_beta = protect.optimal_protection_levels(lad, adv, gamma)
+            assert same_bits(beta_pl, one_beta)
+            assert same_bits(levels.levels, one_levels.levels)
+
+    def test_perturbed_lane_names_its_gamma(self):
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
+        adv = core.make_advice(lad, [10, 20, 70])
+        gammas = np.linspace(0.0, core.bq_bound(lad), 5)
+        model = lp.build_pareto_lp(lad, adv, gammas)
+        points = self.stacked(lp.water_fill_plan(lad, adv, gammas))
+        assert np.all(lp.verify(model, "optimal", points) <= 1e-9)
+        points[1, 3:] += 1.0  # x_1 one seat over in lanes 3 and 4: both overbook
+        assert np.all(lp.check_point(model, points)[3:] > 1e-9)
+        with pytest.raises(lp.SolverError, match=re.escape(f"gamma={gammas[3]} violates")):
+            lp.verify(model, "optimal", points)
+
+    def test_one_gamma_keeps_its_return_types(self):
+        lad, adv = big_gap()
+        plan = lp.water_fill_plan(lad, adv, 0.25)
+        assert isinstance(plan, lp.LPSolution) and plan.x.shape == (3,)
+        assert plan.y.shape == (3, 3) and isinstance(plan.max_violation, float)
+        levels, beta = protect.optimal_protection_levels(lad, adv, 0.25)
+        assert isinstance(beta, float) and len(levels.levels) == 3
+        assert lp.water_fill_plan(lad, adv, []) == []
+        assert protect.optimal_protection_levels(lad, adv, []) == []
+
+    def test_bad_lane_is_named(self):
+        lad, adv = big_gap()
+        with pytest.raises(ValueError, match=r"gamma 0\.9 must lie"):
+            lp.water_fill_plan(lad, adv, [0.1, 0.9, 1.5])
+        with pytest.raises(ValueError, match=r"gamma nan must lie"):
+            protect.optimal_protection_levels(lad, adv, [0.1, float("nan")])
 
 
 class TestRootSearch:
@@ -446,9 +521,7 @@ class TestRootSearch:
         advices = frontier.advice_grid(lad, 10)
         calls = count_passes(monkeypatch)
         for adv in advices:
-            base = lp.build_pareto_lp(lad, adv, 0.0)
-            for g in grid:
-                lp.water_fill_plan(lad, adv, float(g), base)
+            lp.water_fill_plan(lad, adv, grid)
         assert calls[0] <= 10 * len(advices) * len(grid)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)

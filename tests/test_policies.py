@@ -717,7 +717,7 @@ class TestTraceOutputs:
                "policy": "bq"}
         text = cli.cmd_simulate(cfg, argparse.Namespace(seed=0, epsilon=1e-6))["trace.csv"]
         lines = text.strip().split("\n")
-        assert len(lines) == 1 + len(inst)
+        assert len(lines) == 1 + len(inst.steps)
         header = lines[0].split(",")
         assert header[:4] == ["step", "fare_index", "fare", "accepted_fraction"]
         last = lines[-1].split(",")
