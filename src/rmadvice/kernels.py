@@ -1,6 +1,6 @@
 """The simplex pivot loop: Bland-rule pivots on a dense tableau, a row
-at a time (``simplex_iterate``, ``_pivot``).  ``simplex`` builds the
-tableaux and reads the solutions.
+at a time (``simplex_iterate``, ``_ratio_test``, ``_pivot``).  ``simplex``
+builds the tableaux and reads the solutions.
 """
 
 from __future__ import annotations
@@ -14,26 +14,25 @@ def simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
     The last tableau row holds reduced costs with ``-objective`` in the
     right-hand-side slot; only columns below ``ncols`` may enter.  Returns
     0 when optimal, 1 when unbounded, 2 when the iteration cap is hit, 3
-    when the ratio test finds a ratio below -1e-9: the rhs went negative.
+    when the ratio test finds a ratio below -1e-9 from an rhs below -1e-9:
+    the rhs went negative.  A row whose rhs is negative by rounding alone
+    (-1e-9 or above) over a column so small that its ratio falls below
+    -1e-9 is left out of the test: both are rounding noise, and a pivot on
+    such a column would spread the noise through the tableau.
     """
-    nrows = T.shape[0] - 1
-    rhs = T.shape[1] - 1
-    max_iters = 50000
-    for _ in range(max_iters):
+    nrows, rhs = T.shape[0] - 1, T.shape[1] - 1
+    for _ in range(50000):  # the iteration cap
         candidates = np.flatnonzero(T[nrows, :ncols] < -cost_tol)
         if candidates.size == 0:
             return 0
         enter = candidates[0]
         rows = np.flatnonzero(T[:nrows, enter] > pivot_tol)
-        ratios = T[rows, rhs] / T[rows, enter]
-        leave = -1
-        best = np.inf
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best - 1e-15:
-                best = ratio
-                leave = i
-            elif ratio <= best + 1e-15 and leave >= 0 and basis[i] < basis[leave]:
-                leave = i
+        b = T[rows, rhs]
+        ratios = b / T[rows, enter]
+        leave, best = _ratio_test(rows, ratios, basis)
+        if best < -1e-9:
+            signal = (ratios >= -1e-9) | (b < -1e-9)
+            leave, best = _ratio_test(rows[signal], ratios[signal], basis)
         if leave < 0:
             return 1
         if best < -1e-9:
@@ -41,6 +40,18 @@ def simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
         _pivot(T, leave, enter)
         basis[leave] = enter
     return 2
+
+
+def _ratio_test(rows, ratios, basis):
+    """The leaving row among ``rows`` and its ratio: the smallest ratio,
+    ties within 1e-15 to the lowest basis index; ``(-1, inf)`` if none."""
+    leave, best = -1, np.inf
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
+        if ratio < best - 1e-15:
+            leave, best = i, ratio
+        elif ratio <= best + 1e-15 and leave >= 0 and basis[i] < basis[leave]:
+            leave = i
+    return leave, best
 
 
 def _pivot(T, row, col):

@@ -3,23 +3,21 @@
 For a fare ladder, an advice vector, and a target competitive ratio
 ``gamma``, the LP maximizes the consistency ``beta`` (fraction of the
 advice's revenue secured when the advice is realized) subject to remaining
-``gamma``-competitive on every instance of the adversarial family.
+``gamma``-competitive on every instance of the hard family (``hard_family``).
 
 Variables, in fixed order: ``beta``, per-class phase-1 acceptances
 ``x_1..x_m``, and per-trigger-block fallback acceptances ``y(k)_j`` for
-``k, j = 1..m``.  Rows, in fixed order: first all ``m`` rows of one kind
-for ``k = 1..m``, then all ``m`` of the other:
+``k, j = 1..m``.  With ``P_k = sum_{j<=k} f_j x_j``, the row families, in
+the dense LP's order (``k``, then ``i``, from 1 to ``m``):
 
-* capacity: ``sum_{j<=k} x_j + sum_j y(k)_j <= n``
-* prefix competitiveness: ``sum_{j<=k} f_j x_j >= gamma * Opt(prefix_k)``
+* capacity: ``sum_{j<=k} x_j + sum_j y(k)_j <= n``;
+* prefix: ``P_k >= gamma Opt(prefix_k)``;
+* consistency: ``P_m >= beta Opt(A)``;
+* continuation: ``P_k + sum_{j<=i} f_j y(k)_j >= gamma Opt(prefix_k + block_i)``;
 
-then the consistency link ``sum_j f_j x_j - beta * Opt(advice) >= 0`` and,
-for each ``(k, i)``, continuation competitiveness
-``sum_{j<=k} f_j x_j + sum_{j<=i} f_j y(k)_j >= gamma * Opt(prefix_k + block_i)``.
-
-Fares are rescaled so the top fare is 1 before rows are built; the
-variables (counts and ``beta``) are scale-invariant so no unscaling is
-needed.
+with the bounds ``beta <= 1``, ``x_j <= cap_j`` and every variable ``>= 0``.
+Fares are rescaled so the top fare is 1; the variables (counts and
+``beta``) are scale-invariant, so no unscaling is needed.
 """
 
 from __future__ import annotations
@@ -34,19 +32,27 @@ from .simplex import SimplexResult, SolverError, solve_simplex
 
 
 @dataclass
+class HardFamily:
+    """The LP's data (rescaled fares): its rows and its gate use no other."""
+
+    fares: np.ndarray  # (m,) scaled fares f_j
+    capacity: float  # n
+    caps: np.ndarray  # (m,) acceptance caps: x_j <= caps[j-1]
+    advice_opt: float  # Opt(A), the advice's revenue
+    prefix_opt: np.ndarray  # (m,): Opt(prefix_k)
+    continued_opt: np.ndarray  # (m, m): [k-1, i-1] is Opt(prefix_k + block_i)
+
+
+@dataclass
 class LPModel:
     objective: np.ndarray
     rows: np.ndarray
     senses: list[str]
-    rhs: np.ndarray  # (rows,), or (rows, lanes) for an array of gammas
+    rhs: np.ndarray
     upper: np.ndarray
     labels: list[str]
-    m: int
-    gamma: float  # or the array of the lanes' gammas
-    capacity: int
-    advice_opt_scaled: float  # advice revenue under the rescaled fares
-    scaled_fares: tuple[float, ...] = ()
-    family_opt: np.ndarray | None = None  # Opt(prefix_k), then Opt(prefix_k + block_i)
+    gamma: float
+    family: HardFamily
 
 
 @dataclass
@@ -60,96 +66,88 @@ class LPSolution:
     max_violation: float = np.nan
 
 
-def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma) -> LPModel:
-    """Assemble the LP for one (ladder, advice, gamma) triple.  Only the rhs
-    depends on gamma: given an array of gammas (lanes), the rest is built
-    once and the rhs holds one column per lane."""
-    core.check_gamma(ladder, gamma)
-    model = _gamma_free_part(ladder, advice)
-    m, opt, n, lanes = model.m, model.family_opt, float(model.capacity), np.shape(gamma)
-    model.rhs = np.concatenate([
-        np.full((m, *lanes), n), np.multiply.outer(opt[:m], gamma),
-        np.zeros((1, *lanes)), np.multiply.outer(opt[m:], gamma),
-    ])
-    model.gamma = np.asarray(gamma, dtype=float) if lanes else gamma
-    return model
-
-
-def _gamma_free_part(ladder: core.FareLadder, advice: core.Advice) -> LPModel:
-    m, n, scale = ladder.m, ladder.capacity, ladder.fares[-1]
-    sf = tuple(f / scale for f in ladder.fares)
-    scaled = core.FareLadder(fares=sf, capacity=n)
-    opt_advice = core.advice_opt(scaled, advice)
-
+def hard_family(ladder: core.FareLadder, advice: core.Advice) -> HardFamily:
+    """``core.hard_counts`` and ``count_opt`` on the rescaled fares, with
+    the caps and the advice's revenue."""
+    scale = ladder.fares[-1]
+    scaled = core.FareLadder(fares=tuple(f / scale for f in ladder.fares), capacity=ladder.capacity)
     prefix, blocks = core.hard_counts(scaled, advice)
-    opt_prefix = core.count_opt(scaled, prefix)
-    opt_continued = core.count_opt(scaled, prefix[:, None] + blocks[None])
+    return HardFamily(
+        fares=np.array(scaled.fares), capacity=float(ladder.capacity),
+        caps=np.array(advice.cap_counts, dtype=float), advice_opt=core.advice_opt(scaled, advice),
+        prefix_opt=core.count_opt(scaled, prefix),
+        continued_opt=core.count_opt(scaled, prefix[:, None] + blocks[None]),
+    )
 
+
+def build_pareto_lp(ladder: core.FareLadder, advice: core.Advice, gamma: float) -> LPModel:
+    """Assemble the dense LP for one (ladder, advice, gamma) triple from its
+    hard family: the rows the simplex of ``solve_lp`` pivots on."""
+    core.check_gamma(ladder, gamma)
+    family = hard_family(ladder, advice)
+    m, f = len(family.fares), family.fares
     # Columns: beta, x, then y(k) row-major.  Row k-1 of ``lower`` marks
     # classes 1..k, and of ``revenue`` holds their scaled fares.
     nvars, cls = 1 + m + m * m, np.arange(m)
     lower = np.tri(m)
-    revenue = lower * np.asarray(sf)
+    revenue = lower * f
     rows = np.zeros((2 * m + 1 + m * m, nvars))
     rows[:m, 1 : 1 + m] = lower
     rows[:m, 1 + m :].reshape(m, m, m)[cls, cls] = 1.0  # capacity row k: all of y(k)
     rows[m : 2 * m, 1 : 1 + m] = revenue
-    rows[2 * m, 0], rows[2 * m, 1 : 1 + m] = -opt_advice, sf
+    rows[2 * m, 0], rows[2 * m, 1 : 1 + m] = -family.advice_opt, f
     continued = rows[2 * m + 1 :].reshape(m, m, nvars)  # continuation row (k, i)
     continued[..., 1 : 1 + m] = revenue[:, None]
     continued[..., 1 + m :].reshape(m, m, m, m)[cls, :, cls] = revenue  # its y(k) columns
-
-    upper = np.concatenate([[1.0], advice.cap_counts, np.full(m * m, np.inf)])
-    objective = np.eye(1, nvars)[0]  # maximize beta
-
+    rhs = np.concatenate([np.full(m, family.capacity), gamma * family.prefix_opt, [0.0],
+                          gamma * family.continued_opt.ravel()])
     labels = ["beta"] + [f"x_{j}" for j in range(1, m + 1)] + [
-        f"y_{k}_{j}" for k in range(1, m + 1) for j in range(1, m + 1)
-    ]
-    return LPModel(  # gamma and the rhs are set by ``build_pareto_lp``
-        objective=objective, rows=rows, senses=["<="] * m + [">="] * (m + 1 + m * m), rhs=None,
-        upper=upper, labels=labels, m=m, gamma=math.nan, capacity=n, advice_opt_scaled=opt_advice,
-        scaled_fares=sf, family_opt=np.concatenate([opt_prefix, opt_continued.ravel()]),
+        f"y_{k}_{j}" for k in range(1, m + 1) for j in range(1, m + 1)]
+    return LPModel(
+        objective=np.eye(1, nvars)[0], rows=rows, senses=["<="] * m + [">="] * (m + 1 + m * m),
+        rhs=rhs, upper=np.concatenate([[1.0], family.caps, np.full(m * m, np.inf)]),
+        labels=labels, gamma=gamma, family=family,
     )
 
 
-def check_point(model: LPModel, point: np.ndarray):
-    """Largest normalized constraint violation of a candidate point.
-
-    Independent of the solver: evaluates every row and bound of the model
-    directly, for a lane model on its points stacked on the last axis (one
-    ``rows @ point`` product).  Each row's violation is divided by its
-    largest coefficient magnitude (including the rhs).  A NaN anywhere
-    makes the result NaN.
+def check_point(family: HardFamily, gamma, point):
+    """Largest normalized violation of a candidate point of the LP at
+    ``gamma``: each row family and bound of the module's list checked from
+    its definition, independent of the solver and of the dense rows.  Each
+    row's violation is divided by its largest coefficient or rhs magnitude.
+    Points are in the LP's column order, with lanes on leading axes and
+    ``gamma`` one per lane.  A NaN anywhere makes the result NaN.
     """
     point = np.asarray(point, dtype=float)
-    col = (slice(None),) + (None,) * (point.ndim - 1)  # a row's value, for every lane
-    lhs = model.rows @ point
-    ge = np.array([s == ">=" for s in model.senses], dtype=bool)[col]
-    violation = np.where(ge, model.rhs - lhs, lhs - model.rhs)
-    norm = np.maximum(np.abs(model.rows).max(axis=1)[col], np.abs(model.rhs))
-    bounded = np.isfinite(model.upper)
-    u = model.upper[bounded][col]
-    worst = np.max(np.concatenate([
-        violation / np.maximum(norm, 1e-300),
-        -point,
-        (point[bounded] - u) / np.maximum(np.abs(u), 1.0),
-    ]), axis=0)
+    f, n, m, lead = family.fares, family.capacity, len(family.fares), point.shape[:-1]
+    g = np.asarray(gamma, dtype=float)[..., None]
+    beta, x, y = point[..., :1], point[..., 1 : 1 + m], point[..., 1 + m :].reshape(*lead, m, m)
+    paid = np.cumsum(f * x, axis=-1)
+    floors, targets = g * family.prefix_opt, g[..., None] * family.continued_opt
+    continued = targets - paid[..., None] - np.cumsum(f * y, axis=-1)
+    worst = np.concatenate([
+        (np.cumsum(x, axis=-1) + y.sum(axis=-1) - n) / n,
+        (floors - paid) / np.maximum(f, floors),
+        (beta * family.advice_opt - paid[..., -1:]) / max(family.advice_opt, f[-1]),
+        (continued / np.maximum(np.maximum.outer(f, f), targets)).reshape(*lead, m * m),
+        beta - 1.0, (x - family.caps) / np.maximum(family.caps, 1.0), -point,
+    ], axis=-1).max(axis=-1)
     if point.ndim > 1:
         return np.where(worst <= 0.0, 0.0, worst)
     return 0.0 if worst <= 0.0 else float(worst)
 
 
-def verify(model: LPModel, status: str, point):
-    """Gate a point returned for the model: raise ``SolverError`` unless
-    the solve was optimal and ``check_point`` finds the point violating no
-    row or bound by more than 1e-9 (a NaN fails), naming a lane model's
-    first failing gamma.  Returns the violation."""
+def verify(family: HardFamily, gamma, status: str, point):
+    """Gate a point returned for the LP at ``gamma``: raise ``SolverError``
+    unless the solve was optimal and ``check_point`` finds the point
+    violating no row or bound by more than 1e-9 (a NaN fails), naming the
+    first failing lane's gamma.  Returns the violation."""
     if status != "optimal":
-        raise SolverError(f"LP not optimal at gamma={model.gamma}: {status}")
-    violation = check_point(model, point)
-    for gamma, v in zip(np.ravel(model.gamma).tolist(), np.ravel(violation).tolist()):
+        raise SolverError(f"LP not optimal at gamma={gamma}: {status}")
+    violation = check_point(family, gamma, point)
+    for g, v in zip(np.ravel(gamma).tolist(), np.ravel(violation).tolist()):
         if not v <= 1e-9:
-            raise SolverError(f"LP point at gamma={gamma} violates the model by {v}")
+            raise SolverError(f"LP point at gamma={g} violates the model by {v}")
     return violation
 
 
@@ -173,27 +171,22 @@ def solve_lp(model: LPModel) -> LPSolution:
     solve that fails, or whose point fails ``verify``, gives way to the
     first solve's point.
     """
+    family, gamma, m = model.family, model.gamma, len(model.family.fares)
     result = solve_beta(model)
-    violation = verify(model, result.status, result.x)
-    m = model.m
+    violation = verify(family, gamma, result.status, result.x)
     beta_star = float(result.x[0])
     point = result.x
-    secondary = np.concatenate([np.zeros(1 + m), np.tile(model.scaled_fares, m)])
+    secondary = np.concatenate([np.zeros(1 + m), np.tile(family.fares, m)])
     floor_row = np.eye(1, model.rows.shape[1])[0]  # beta
     try:
-        refined = solve_simplex(
-            secondary,
-            np.vstack([model.rows, floor_row]),
-            list(model.senses) + [">="],
-            np.append(model.rhs, beta_star - 1e-9),
-            upper=model.upper,
-            maximize=True,
-        )
-        violation, point = verify(model, refined.status, refined.x), refined.x
+        refined = solve_simplex(secondary, np.vstack([model.rows, floor_row]),
+                                model.senses + [">="], np.append(model.rhs, beta_star - 1e-9),
+                                upper=model.upper, maximize=True)
+        violation, point = verify(family, gamma, refined.status, refined.x), refined.x
     except SolverError:
         pass
     x, y = point[1 : 1 + m].copy(), point[1 + m :].reshape(m, m).copy()
-    return LPSolution("optimal", beta_star, x, y, model.gamma, m, violation)
+    return LPSolution("optimal", beta_star, x, y, gamma, m, violation)
 
 
 def water_fill_plan(ladder: core.FareLadder, advice: core.Advice, gamma):
@@ -203,48 +196,50 @@ def water_fill_plan(ladder: core.FareLadder, advice: core.Advice, gamma):
     m.  ``core.largest_feasible`` finds the last passing double from the
     pass's predicted roots; beta is then pulled back from it to the
     slack-free root of its binding check where that lies on its piece.
-    The point must pass ``verify``; a pass failing at c(F) raises
-    ``SolverError``.  An array of gammas (lanes) gives a list of one
-    solution per lane: the model is built once, each lane searched as a
-    lone gamma is, and the plans finished and gated together."""
-    model = build_pareto_lp(ladder, advice, gamma)
+    Everything is read off the hard family; the point must pass ``verify``,
+    and a pass failing at c(F) raises ``SolverError``.  An array of gammas
+    (lanes) gives a list of one solution per lane: the family is built
+    once, each lane searched as a lone gamma is, and the plans finished and
+    gated together."""
+    core.check_gamma(ladder, gamma)
+    family = hard_family(ladder, advice)
+    gammas = np.ravel(np.asarray(gamma, dtype=float))
     # The upper end is never tried: one double above 1 lets beta reach 1.
     lo, hi, found = core.bq_bound(ladder), math.nextafter(1.0, 2.0), []
-    for g, lane in zip(np.ravel(model.gamma).tolist(), _lanes(model)):
+    for g, lane in zip(gammas.tolist(), _lanes(family, gammas)):
         _, plan = core.largest_feasible(_water_fill(lane), lo, hi)
         if plan is None:
             raise SolverError(f"water-fill pass infeasible at gamma={g} and beta=c(F)")
         found.append(plan)
-    m, f, count = model.m, np.array(model.scaled_fares), len(found)
+    m, f, count = len(family.fares), family.fares, len(found)
     x, beta = np.array([p[0] for p in found]).reshape(count, m), [p[1] for p in found]
     paid = np.cumsum(f * x, axis=1)[..., None]  # P_k, summed as in the pass
     steps = np.zeros((count, m, m + 1))  # row k-1: S_0 = 0, then S_1..S_m of a trigger at k
-    targets = np.reshape(model.rhs.T[..., 2 * m + 1 :], (count, m, m))
-    steps[..., 1:] = np.maximum(0.0, targets - paid)
+    steps[..., 1:] = np.maximum(0.0, np.multiply.outer(gammas, family.continued_opt) - paid)
     y = np.diff(steps) / f
-    y[..., -1] += np.maximum(0.0, model.capacity - np.cumsum(x, axis=1) - y.sum(axis=2))
-    point = np.concatenate([[beta], x.T, y.reshape(count, m * m).T])  # a column per lane
-    if model.rhs.ndim == 1:  # one gamma
-        violation = verify(model, "optimal", point[:, 0])
+    y[..., -1] += np.maximum(0.0, family.capacity - np.cumsum(x, axis=1) - y.sum(axis=2))
+    point = np.concatenate([np.reshape(beta, (count, 1)), x, y.reshape(count, m * m)], axis=1)
+    if np.ndim(gamma) == 0:
+        violation = verify(family, gamma, "optimal", point[0])
         return LPSolution("optimal", beta[0], x[0], y[0], gamma, m, violation)
-    violation = np.broadcast_to(verify(model, "optimal", point), count)
+    violation = verify(family, gammas, "optimal", point)
     return [LPSolution("optimal", *fields, m, v)
-            for *fields, v in zip(beta, x, y, model.gamma.tolist(), violation)]
+            for *fields, v in zip(beta, x, y, gammas.tolist(), violation)]
 
 
-def _lanes(model: LPModel) -> list:
-    """Each lane's inputs to ``_water_fill``, from one ``tolist`` of the rhs."""
-    m, n, f = model.m, float(model.capacity), model.scaled_fares
-    opt_advice = model.advice_opt_scaled
-    caps = model.upper[1 : 1 + m].tolist()
+def _lanes(family: HardFamily, gammas) -> list:
+    """Each lane's inputs to ``_water_fill``, one lane per gamma, from one
+    ``tolist`` of the lanes' floors and targets."""
+    f, caps = family.fares.tolist(), family.caps.tolist()
+    n, opt_advice, m = family.capacity, family.advice_opt, len(f)
     tails = [sum(c * fj for c, fj in zip(caps[k + 1 :], f[k + 1 :])) for k in range(m)]
     weights = [1.0 / a - 1.0 / b for a, b in zip(f, f[1:])] + [1.0 / f[-1]]
     lanes = []
-    for rhs in np.reshape(model.rhs.T, (-1, len(model.rhs))).tolist():
-        floors, targets = rhs[m : 2 * m], rhs[2 * m + 1 :]
+    for floors, targets in zip(np.multiply.outer(gammas, family.prefix_opt).tolist(),
+                               np.multiply.outer(gammas, family.continued_opt).tolist()):
         # beta at which the consistency term overtakes gamma Opt(prefix_k)
         bends = [(floor + tail) / opt_advice for floor, tail in zip(floors, tails)]
-        fallback = [list(zip(weights, targets[k * m : k * m + m])) for k in range(m)]
+        fallback = [list(zip(weights, row)) for row in targets]
         lanes.append((n, opt_advice, list(zip(f, caps, floors, tails, fallback, bends))))
     return lanes
 
@@ -353,19 +348,12 @@ def optimal_consistency(
 def dump_model(model: LPModel) -> str:
     """Plain-text dump: objective then one row per line with sense, rhs,
     and sparse ``label:coefficient`` pairs."""
-    lines = [
-        "maximize "
-        + " ".join(
-            f"{model.labels[j]}:{model.objective[j]:.17g}"
-            for j in range(len(model.labels))
-            if model.objective[j] != 0.0
-        )
-    ]
+    def pairs(row):
+        return " ".join(f"{model.labels[j]}:{row[j]:.17g}" for j in np.nonzero(row)[0])
+
+    lines = [f"maximize {pairs(model.objective)}"]
     for row, sense, b in zip(model.rows, model.senses, model.rhs):
-        pairs = " ".join(
-            f"{model.labels[j]}:{row[j]:.17g}" for j in np.nonzero(row)[0]
-        )
-        lines.append(f"{sense} {b:.17g} {pairs}")
+        lines.append(f"{sense} {b:.17g} {pairs(row)}")
     for j, u in enumerate(model.upper):
         if np.isfinite(u):
             lines.append(f"<= {u:.17g} {model.labels[j]}:1")

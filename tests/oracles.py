@@ -445,6 +445,8 @@ def reference_simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
             coef = T[i, enter]
             if coef > pivot_tol:
                 ratio = T[i, rhs] / coef
+                if ratio < -1e-9 and T[i, rhs] >= -1e-9:
+                    continue  # a rounding-level rhs over a small column: no limit
                 if ratio < best - 1e-15:
                     best = ratio
                     leave = i
@@ -518,7 +520,7 @@ def reference_protection_levels(ladder, advice, gamma, epsilon=1e-6):
 def reference_water_fill_beta(ladder, advice, gamma):
     """The last double in [c(F), 1] that the water-fill pass passes, by
     bisection, and the number of passes: ``(beta, passes)``."""
-    fill = lp._water_fill(*lp._lanes(lp.build_pareto_lp(ladder, advice, gamma)))
+    fill = lp._water_fill(*lp._lanes(lp.hard_family(ladder, advice), [gamma]))
     beta, _, passes = bisect_largest_feasible(
         lambda b: fill(b)[0], core.bq_bound(ladder), math.nextafter(1.0, 2.0), 0.0
     )
@@ -794,18 +796,18 @@ def reference_build_pareto_lp(ladder, advice, gamma):
         rhs=np.array(rhs),
         upper=upper,
         labels=labels,
-        m=m,
         gamma=gamma,
-        capacity=n,
-        advice_opt_scaled=opt_advice,
-        scaled_fares=sf,
+        family=lp.HardFamily(
+            fares=np.array(sf), capacity=float(n), caps=np.array(caps, dtype=float),
+            advice_opt=opt_advice, prefix_opt=opt_prefix, continued_opt=opt_continued,
+        ),
     )
 
 
 def reference_check_point(model, point):
-    """Reference feasibility check walking one row and one bound at a time;
-    same contract as ``lp.check_point`` up to the summation order of each
-    row's dot product."""
+    """Reference feasibility check walking the dense LP's rows and bounds
+    one at a time: the oracle of ``lp.check_point(model.family,
+    model.gamma, point)``, equal up to the summation order of each row."""
     point = np.asarray(point, dtype=float)
     worst = 0.0
     for row, sense, b in zip(model.rows, model.senses, model.rhs):

@@ -63,7 +63,7 @@ def test_criterion_03_steep_ladder_gap():
     point = np.array(
         [beta_point, 30.0, 10.0, 50.0, 0.0, 30.0, 30.0, 0.0, 20.0, 30.0, 0.0, 0.0, 0.0]
     )
-    assert lp.check_point(model, point) <= 1e-9
+    assert lp.check_point(model.family, gamma, point) <= 1e-9
 
     # (b) the solver at least matches the hand point.
     sol = lp.solve_lp(model)

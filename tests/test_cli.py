@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rmadvice import experiments, lp, simplex
+from rmadvice import core, experiments, lp, simplex
 from rmadvice.cli import main
 from rmadvice.simplex import SimplexResult
 
@@ -165,7 +165,7 @@ class TestExitCodes:
         assert json.loads((out / "manifest.json").read_text())["epsilon"] == 0.5
 
     def test_violating_lp_point_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(lp, "check_point", lambda model, point: 1.0)
+        monkeypatch.setattr(lp, "check_point", lambda family, gamma, point: 1.0)
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2]))
         assert run_failing(tmp_path, "frontier", cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
@@ -179,14 +179,14 @@ class TestExitCodes:
             return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
 
         monkeypatch.setattr(lp, "solve_beta", infeasible)
-        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: (None, np.nan))
+        monkeypatch.setattr(lp, "_water_fill", lambda lane: lambda beta: (None, np.nan))
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[3] * 12))
         assert run_failing(tmp_path, command, cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "robustness", "frontier"])
     def test_violating_plan_is_numerical_failure(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr(lp, "check_point", lambda model, point: 1.0)
+        monkeypatch.setattr(lp, "check_point", lambda family, gamma, point: 1.0)
         cfg = write_config(tmp_path, dict(BASE, gamma_grid=[0.2], instance=[3] * 12))
         assert run_failing(tmp_path, command, cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
@@ -328,28 +328,48 @@ class TestSolveLp:
         assert sol["max_violation"] <= 1e-9
         assert sol["beta_star"] == pytest.approx(0.492516418606429, rel=1e-12)
 
-    def test_violating_first_point_is_numerical_failure(self, tmp_path, capsys):
-        # solve_beta's point violates the model here, with a wrong beta*.
+    def test_violating_first_point_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # solve_beta's point once violated the model here, with a wrong
+        # beta*; the simplex now solves the case to water-fill's beta.  A
+        # violating first point still exits 3.
         fares = [45.679057933118905, 45.6800579331189, 46.179057933118905]
         gamma = 1.0 / (1.0 + sum(1.0 - a / b for a, b in zip(fares, fares[1:])))
         cfg = write_config(tmp_path, {"fares": fares, "capacity": 2, "advice": [1, 1, 0],
                                       "gamma": gamma})
+        start = time.perf_counter()
+        assert main(["solve-lp", "--config", cfg, "--out", str(tmp_path / "solved")]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert_beta_is_water_fills(tmp_path / "solved", fares, 2, [1, 1, 0], gamma)
+        bad = SimplexResult("optimal", 0.0, np.full(1 + 3 + 9, -1.0))
+        monkeypatch.setattr(lp, "solve_beta", lambda model: bad)
         assert run_failing(tmp_path, "solve-lp", cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
-    def test_lost_feasibility_exits_3_fast(self, tmp_path, capsys):
-        # The simplex's rhs goes negative after 182 phase-1 pivots; without
-        # the ratio test's check, solve-lp ran 50,000 pivots (over 10 s)
-        # to its iteration cap.
+    def test_lost_feasibility_case_solves_fast(self, tmp_path):
+        # The simplex's rhs went to rounding-level negatives after 182
+        # phase-1 pivots; without the ratio test's check, solve-lp ran
+        # 50,000 pivots (over 10 s) to its iteration cap, and with a check
+        # on the ratio alone it exited 3.  Counted as 0, such an rhs lets
+        # the LP solve.
         fares = [0.0625, 2.8125, 5.25, 9.0, 13.0, 13.6875, 13.75, 14.25, 15.375, 18.8125,
                  22.5625, 24.8125]
         advice = [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+        gamma = 0.2653178598709861  # c(F)
         cfg = write_config(tmp_path, {"fares": fares, "capacity": 1, "advice": advice,
-                                      "gamma": 0.2653178598709861})  # c(F)
+                                      "gamma": gamma})
         start = time.perf_counter()
-        assert run_failing(tmp_path, "solve-lp", cfg) == 3
+        assert main(["solve-lp", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert time.perf_counter() - start < 2.0
-        assert "lost primal feasibility" in capsys.readouterr().err
+        assert_beta_is_water_fills(tmp_path / "o", fares, 1, advice, gamma)
+
+
+def assert_beta_is_water_fills(out, fares, capacity, advice, gamma):
+    """solve-lp's written beta* within 1e-9 (relative) of water-fill's."""
+    sol = json.loads((out / "lp_solution.json").read_text())
+    lad = core.make_fare_ladder(fares, capacity)
+    plan = lp.water_fill_plan(lad, core.make_advice(lad, advice), gamma)
+    assert sol["max_violation"] <= 1e-9
+    assert abs(sol["beta_star"] - plan.beta_star) <= 1e-9 * plan.beta_star
 
 
 class TestRobustness:

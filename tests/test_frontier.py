@@ -66,25 +66,24 @@ class TestFrontierCurve:
 
     def test_one_build_gate_and_terms_per_advice(self, monkeypatch):
         # The fixed costs of a frontier are paid once per advice, not once
-        # per gamma: one gamma-free model, one gate product over all 41
-        # lanes, and one set of the protection-level pass's advice terms.
+        # per gamma: one hard family, one gate call over all 41 lanes, and
+        # one set of the protection-level pass's advice terms.
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
         adv = core.make_advice(lad, [10, 20, 70])
-        builds = count_calls(monkeypatch, lp, "_gamma_free_part")
+        builds = count_calls(monkeypatch, lp, "hard_family")
         terms = count_calls(monkeypatch, protect, "_advice_terms")
         gate, gated = lp.check_point, []
-        monkeypatch.setattr(
-            lp, "check_point", lambda model, point: gated.append(np.shape(point)) or gate(model, point)
-        )
+        monkeypatch.setattr(lp, "check_point", lambda family, gamma, point: gated.append(
+            (np.shape(gamma), np.shape(point))) or gate(family, gamma, point))
         curve = frontier.consistency_frontier(lad, adv, frontier.default_gamma_grid(lad, 41))
         assert curve.beta_lp.shape == curve.beta_pl.shape == (41,)
-        assert (builds[0], terms[0], gated) == (1, 1, [(1 + 3 + 9, 41)])
+        assert (builds[0], terms[0], gated) == (1, 1, [((41,), (41, 1 + 3 + 9))])
 
     @pytest.mark.parametrize("violation", [1.0, 2e-9, float("nan")])
     def test_violating_lp_point_raises(self, monkeypatch, violation):
         lad = core.make_fare_ladder([1.0, 2.0], 2)
         adv = core.make_advice(lad, [0, 2])
-        monkeypatch.setattr(lp, "check_point", lambda model, point: violation)
+        monkeypatch.setattr(lp, "check_point", lambda family, gamma, point: violation)
         with pytest.raises(RuntimeError, match="violates"):
             frontier.consistency_frontier(lad, adv, [0.0, 0.5])
 
@@ -92,7 +91,7 @@ class TestFrontierCurve:
         # The water-fill pass fails at every beta, c(F) included.
         lad = core.make_fare_ladder([1.0, 2.0], 2)
         adv = core.make_advice(lad, [0, 2])
-        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: (None, np.nan))
+        monkeypatch.setattr(lp, "_water_fill", lambda lane: lambda beta: (None, np.nan))
         with pytest.raises(RuntimeError, match="infeasible"):
             frontier.consistency_frontier(lad, adv, [0.0, 0.5])
 

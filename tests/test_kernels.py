@@ -74,13 +74,25 @@ class TestSimplexIterate:
         assert assert_same_pivots(T, basis, T.shape[1] - 1) == 1
 
     def test_negative_ratio_reports_lost_feasibility(self):
-        # Row 0's rhs is negative: its ratio -1 is the smallest, so the
-        # loop stops before pivoting on it.
+        # Row 0's rhs is negative beyond rounding: its ratio -1 is the
+        # smallest, so the loop stops before pivoting on it.
         T, basis = slack_tableau(np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]), np.array([-1.0]))
         before = T.copy()
         assert assert_same_pivots(T, basis, T.shape[1] - 1) == 3
         status = kernels.simplex_iterate(T, basis, T.shape[1] - 1, COST_TOL, PIVOT_TOL)
         assert status == 3 and np.array_equal(T, before)
+
+    def test_rounding_level_negative_rhs_sets_no_limit(self):
+        # Row 0's rhs -4e-17 over a column just above PIVOT_TOL gives the
+        # ratio -2e-6: rounding noise, which the test leaves out.  The loop
+        # pivots on row 1 and reaches the optimum, instead of stopping with
+        # status 3 or pivoting on the 2e-11 entry.
+        T, basis = slack_tableau(np.array([[2e-11, 1.0], [1.0, 0.0]]), np.array([-4e-17, 1.0]),
+                                 np.array([-1.0, 0.0]))
+        assert assert_same_pivots(T, basis, T.shape[1] - 1) == 0
+        status = kernels.simplex_iterate(T, basis, T.shape[1] - 1, COST_TOL, PIVOT_TOL)
+        assert status == 0 and list(basis) == [2, 0]
+        assert abs(T[0, -1]) <= 1e-10 and T[1, -1] == 1.0
 
     def test_matches_reference_on_pareto_lp_tableaux(self, monkeypatch):
         calls = []

@@ -1,13 +1,16 @@
 """Consistency/competitiveness LP: shape, known optima, cross-checks."""
 
+import json
 import re
+import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmadvice import core, frontier, lp, protect
+from rmadvice import cli, core, experiments, frontier, lp, policies, protect
 from rmadvice.policies import bq_levels, run_protection_policy
 from rmadvice.simplex import SimplexResult
 
@@ -16,6 +19,7 @@ from .oracles import (
     advice_prefix,
     block_instance,
     concat,
+    count_calls,
     hard_instances,
     ladders_and_advice,
     reference_build_pareto_lp,
@@ -32,6 +36,27 @@ def tiny():
     lad = core.make_fare_ladder([1.0, 2.0], 2)
     adv = core.make_advice(lad, [0, 2])
     return lad, adv
+
+
+def solved(fares, n, counts):
+    lad = core.make_fare_ladder(fares, n)
+    return lad, core.make_advice(lad, counts)
+
+
+# Ladders on which the simplex's ratio test once stopped at gamma = c(F):
+# a rounding-level negative rhs (-4e-17, -1e-13) over a column just above
+# PIVOT_TOL gave a ratio below -1e-9.
+ROUNDING_RHS_CASES = (
+    solved([1.0, 67.0, 67.001, 98.001], 1, [0, 0, 1, 0]),
+    solved([1.0, 1.001, 2.251, 66.251, 67.626], 1, [0, 1, 0, 0, 0]),
+    solved([1.0, 1.25, 48.25, 48.75, 49.75, 55.75, 56.75], 2, [0, 0, 0, 0, 0, 1, 1]),
+    solved([1.0, 1.25, 47.25, 47.75, 48.75, 54.75, 55.75], 2, [0, 0, 0, 0, 0, 1, 1]),
+)
+
+
+def plan_point(plan):
+    """A solution's point in the LP's column order."""
+    return np.concatenate([[plan.beta_star], plan.x, plan.y.ravel()])
 
 
 def big_gap():
@@ -106,7 +131,7 @@ class TestRhs:
         gamma = share * core.bq_bound(ladder)
         model = lp.build_pareto_lp(ladder, advice, gamma)
         m = ladder.m
-        scaled = core.FareLadder(fares=model.scaled_fares, capacity=ladder.capacity)
+        scaled = core.FareLadder(fares=tuple(model.family.fares.tolist()), capacity=ladder.capacity)
         family = hard_instances(scaled, advice)
         # rows: m capacity, m prefix, the consistency link, m*m continuations
         rhs = np.concatenate([model.rhs[m : 2 * m], model.rhs[2 * m + 1 :]])
@@ -167,7 +192,7 @@ class TestKnownOptima:
         point[4:7] = [0.0, 30.0, 30.0]  # y(1)
         point[7:10] = [0.0, 20.0, 30.0]  # y(2)
         point[10:13] = [0.0, 0.0, 0.0]  # y(3)
-        assert lp.check_point(model, point) <= 1e-9
+        assert lp.check_point(model.family, gamma, point) <= 1e-9
 
     def test_big_gap_optimum(self):
         lad, adv = big_gap()
@@ -227,7 +252,7 @@ class TestCrossChecks:
             )
             y_k = per_class(combined) - per_class(pre)
             point[1 + m + (k - 1) * m : 1 + m + k * m] = y_k
-        assert lp.check_point(model, point) <= 1e-7
+        assert lp.check_point(model.family, gamma, point) <= 1e-7
         # and the solver can only do better than this witness.
         sol = lp.solve_lp(model)
         assert sol.status == "optimal"
@@ -235,9 +260,38 @@ class TestCrossChecks:
         assert sol.beta_star >= gamma - 1e-9
 
 
+# What ``TestArrayForms`` breaks in a feasible point: one row family or
+# one bound, or nothing.
+BROKEN = ("none", "capacity", "prefix", "consistency", "continuation", "beta<=1", "x<=cap",
+          "nonnegative")
+
+
+def broken_point(point, family, broken, size, k, i):
+    """``point`` with ``broken`` pushed out by about ``size`` (relative),
+    at class ``k`` and, for a continuation row, block ``i`` (0-based)."""
+    m, n = len(family.fares), family.capacity
+    point = point.copy()
+    beta, x, y = point[:1], point[1 : 1 + m], point[1 + m :].reshape(m, m)
+    if broken == "capacity":
+        y[k, -1] += size * n  # trigger row k holds n seats
+    elif broken == "prefix":
+        x[: k + 1] *= 1.0 - size
+    elif broken == "consistency":
+        beta += size
+    elif broken == "continuation":
+        y[k, : i + 1] *= 1.0 - size
+    elif broken == "beta<=1":
+        beta[:] = 1.0 + size
+    elif broken == "x<=cap":
+        x[k] = family.caps[k] + size * max(family.caps[k], 1.0)
+    elif broken == "nonnegative":
+        point[(k * m + i) % point.size] = -size
+    return point
+
+
 class TestArrayForms:
-    """The builder and the checker work on whole arrays; the references in
-    ``oracles`` fill and walk one row at a time."""
+    """The builder and the gate work on whole arrays; the references in
+    ``oracles`` fill and walk the dense LP one row at a time."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(case=ladders_and_advice(max_m=6, max_n=40), share=st.floats(0.0, 1.0))
@@ -250,30 +304,54 @@ class TestArrayForms:
             assert same_bits(getattr(model, name), getattr(ref, name))
         assert model.senses == ref.senses
         assert model.labels == ref.labels
-        assert same_bits(model.advice_opt_scaled, ref.advice_opt_scaled)
+        for field in fields(lp.HardFamily):
+            assert same_bits(getattr(model.family, field.name), getattr(ref.family, field.name))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
     @given(
-        case=ladders_and_advice(min_m=2, max_m=6, max_n=40),
+        case=st.booleans().flatmap(
+            lambda near: ladders_and_advice(max_m=12, max_n=100, near_equal=near)
+        ),
+        where=st.sampled_from(("zero", "bound", "interior")),
         share=st.floats(0.0, 1.0),
-        noise=st.floats(0.0, 2.0),
-        seed=st.integers(0, 2**32 - 1),
+        broken=st.sampled_from(BROKEN),
+        # Not 1e-9 itself: a break of exactly the gate's tolerance lands
+        # on it, and rounding alone decides.
+        size=st.sampled_from((1e-12, 1e-10, 5e-10, 3e-9, 1e-6, 0.5)),
+        data=st.data(),
     )
-    def test_check_point_matches_row_by_row_reference(self, case, share, noise, seed):
-        # Only the summation order of each row's dot product differs.
+    def test_check_point_matches_row_by_row_reference(self, case, where, share, broken, size,
+                                                       data):
+        # The gate checks each row family from its definition; the oracle
+        # walks the dense rows.  Only the summation order of a row differs.
         lad, adv = case
-        model = lp.build_pareto_lp(lad, adv, share * core.bq_bound(lad))
-        point = lp.solve_beta(model).x
-        point = point + noise * np.random.default_rng(seed).normal(size=point.size)
-        got = lp.check_point(model, point)
-        assert got >= 0.0
-        assert abs(got - reference_check_point(model, point)) <= 1e-12
+        bound = core.bq_bound(lad)
+        gamma = {"zero": 0.0, "bound": bound, "interior": share * bound}[where]
+        family = lp.hard_family(lad, adv)
+        k, i = data.draw(st.integers(0, lad.m - 1)), data.draw(st.integers(0, lad.m - 1))
+        point = plan_point(lp.water_fill_plan(lad, adv, gamma))
+        point = broken_point(point, family, broken, size, k, i)
+        got = lp.check_point(family, gamma, point)
+        ref = reference_check_point(reference_build_pareto_lp(lad, adv, gamma), point)
+        assert got >= 0.0 and abs(got - ref) <= 1e-15
+        assert (got <= 1e-9) == (ref <= 1e-9)
+        if broken in ("capacity", "beta<=1", "x<=cap", "nonnegative") and size >= 1e-6:
+            assert got >= 0.5 * size  # these breaks always show
+        # A stack of lanes gives each lane's one-lane result, bit for bit.
+        lanes = np.array([plan_point(lp.water_fill_plan(lad, adv, bound)), point, point])
+        stacked = lp.check_point(family, [bound, gamma, 0.0], lanes)
+        assert same_bits(stacked, [lp.check_point(family, g, p)
+                                   for g, p in zip([bound, gamma, 0.0], lanes)])
 
     def test_check_point_nan_point_is_nan(self):
         lad, adv = tiny()
-        model = lp.build_pareto_lp(lad, adv, 0.5)
-        point = np.full(model.rows.shape[1], np.nan)
-        assert np.isnan(lp.check_point(model, point))
+        family = lp.hard_family(lad, adv)
+        point = np.full(1 + lad.m + lad.m ** 2, np.nan)
+        assert np.isnan(lp.check_point(family, 0.5, point))
+        assert np.isnan(lp.check_point(family, [0.5, 0.0], [point, point])).all()
+        point[1] = np.nan  # one NaN among feasible values
+        point[[0, 2, *range(3, 7)]] = 0.0
+        assert np.isnan(lp.check_point(family, 0.0, point))
 
     def test_solve_lp_beta_is_solve_beta(self):
         lad, adv = big_gap()
@@ -288,8 +366,8 @@ def count_passes(monkeypatch):
     the live count, a one-item list."""
     build, calls = lp._water_fill, [0]
 
-    def counted_build(model):
-        fill = build(model)
+    def counted_build(lane):
+        fill = build(lane)
 
         def counted(beta):
             calls[0] += 1
@@ -314,6 +392,10 @@ class TestWaterFill:
         where=st.sampled_from(("zero", "bound", "interior")),
         share=st.floats(0.0, 1.0),
     )
+    @example(case=ROUNDING_RHS_CASES[0], where="bound", share=0.0)
+    @example(case=ROUNDING_RHS_CASES[1], where="bound", share=0.0)
+    @example(case=ROUNDING_RHS_CASES[2], where="bound", share=0.0)
+    @example(case=ROUNDING_RHS_CASES[3], where="bound", share=0.0)
     def test_beta_agrees_with_simplex(self, case, where, share):
         lad, adv = case
         bound = core.bq_bound(lad)
@@ -322,8 +404,7 @@ class TestWaterFill:
         model = lp.build_pareto_lp(lad, adv, gamma)
         # solve_beta is the first solve of solve_lp, which takes its beta*
         assert relative_gap(plan.beta_star, lp.solve_beta(model).x[0]) <= 1e-9
-        point = np.concatenate([[plan.beta_star], plan.x, plan.y.ravel()])
-        assert lp.check_point(model, point) == plan.max_violation <= 1e-9
+        assert lp.check_point(model.family, gamma, plan_point(plan)) == plan.max_violation <= 1e-9
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
@@ -339,9 +420,8 @@ class TestWaterFill:
         # gamma = c(F)), so that band is left out.
         lad, adv = case
         bound = core.bq_bound(lad)
-        model = lp.build_pareto_lp(lad, adv, share * bound)
-        fill = lp._water_fill(*lp._lanes(model))
-        beta = lp.water_fill_plan(lad, adv, model.gamma).beta_star
+        fill = lp._water_fill(*lp._lanes(lp.hard_family(lad, adv), [share * bound]))
+        beta = lp.water_fill_plan(lad, adv, share * bound).beta_star
         betas = [bound + s * (1.0 - bound) for s in shares] + [1.0, beta * (1 - 2e-8)]
         betas = sorted(b for b in betas if bound <= b and abs(b - beta) > 1e-8 * beta)
         assert [fill(b)[0] is not None for b in betas] == [b < beta for b in betas]
@@ -361,12 +441,12 @@ class TestWaterFill:
         beta_star = lp.optimal_consistency(lad, adv, gamma).beta_star
         assert relative_gap(plan.beta_star, beta_star) <= 1e-9
         assert plan.beta_star == pytest.approx(0.91084, abs=1e-5)
-        fill = lp._water_fill(*lp._lanes(lp.build_pareto_lp(lad, adv, gamma)))
+        fill = lp._water_fill(*lp._lanes(lp.hard_family(lad, adv), [gamma]))
         assert all(fill(b)[0] is not None for b in np.linspace(core.bq_bound(lad), beta_star, 200))
 
     def test_infeasible_pass_raises(self, monkeypatch):
         lad, adv = tiny()
-        monkeypatch.setattr(lp, "_water_fill", lambda model: lambda beta: (None, np.nan))
+        monkeypatch.setattr(lp, "_water_fill", lambda lane: lambda beta: (None, np.nan))
         with pytest.raises(lp.SolverError, match="infeasible"):
             lp.water_fill_plan(lad, adv, 0.5)
 
@@ -383,28 +463,32 @@ class TestWaterFill:
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
     @given(case=ladders_and_advice(max_m=6, max_n=40), shares=st.lists(st.floats(0.0, 1.0)))
     def test_rhs_rebuild_matches_fresh_build_bitwise(self, case, shares):
-        # Each lane of a multi-gamma build is a fresh one-gamma build.
+        # Each lane's pass inputs are a fresh one-gamma LP's rhs, bit for
+        # bit, and its plan's targets too: both read the one hard family.
         lad, adv = case
-        gammas = [share * core.bq_bound(lad) for share in shares]
-        lanes = lp.build_pareto_lp(lad, adv, gammas)
-        assert lanes.rhs.shape == (lanes.rows.shape[0], len(gammas))
-        for i, gamma in enumerate(gammas):
+        m, gammas = lad.m, [share * core.bq_bound(lad) for share in shares]
+        family = lp.hard_family(lad, adv)
+        lanes = lp._lanes(family, gammas)
+        assert len(lanes) == len(gammas)
+        for gamma, (n, opt_advice, classes) in zip(gammas, lanes):
             fresh = lp.build_pareto_lp(lad, adv, gamma)
-            for name in ("objective", "rows", "upper"):
-                assert same_bits(getattr(lanes, name), getattr(fresh, name))
-            assert same_bits(lanes.rhs[:, i], fresh.rhs)
-            assert lanes.gamma[i] == gamma
+            assert n == fresh.family.capacity and same_bits(fresh.rhs[:m], [n] * m)
+            assert same_bits(opt_advice, -fresh.rows[2 * m, 0])
+            assert same_bits([c[2] for c in classes], fresh.rhs[m : 2 * m])
+            targets = [t for c in classes for _, t in c[4]]
+            assert same_bits(targets, fresh.rhs[2 * m + 1 :])
+            assert lp._lanes(family, [gamma]) == [(n, opt_advice, classes)]
 
 
 class TestLanes:
     """An array of gammas (lanes) against one call per gamma: every lane
     is searched as a lone gamma is, so both searches agree bit for bit; the
-    lanes are gated together by one product."""
+    lanes are gated together by one call of the gate."""
 
     @staticmethod
     def stacked(plans):
-        """The plans' points, one column per lane."""
-        return np.array([np.concatenate([[p.beta_star], p.x, p.y.ravel()]) for p in plans]).T
+        """The plans' points, one row per lane."""
+        return np.array([plan_point(p) for p in plans])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(
@@ -421,18 +505,18 @@ class TestLanes:
         gammas = data.draw(st.permutations(gammas + gammas[1::2]))  # with repeats
         plans = lp.water_fill_plan(lad, adv, np.array(gammas))
         searched = protect.optimal_protection_levels(lad, adv, np.array(gammas))
-        gate = lp.check_point(lp.build_pareto_lp(lad, adv, gammas), self.stacked(plans))
+        family = lp.hard_family(lad, adv)
+        gate = lp.check_point(family, gammas, self.stacked(plans))
         assert len(plans) == len(searched) == len(gate) == len(gammas)
         for gamma, plan, (levels, beta_pl), violation in zip(gammas, plans, searched, gate):
             one = lp.water_fill_plan(lad, adv, gamma)
             for name in ("beta_star", "x", "y"):
                 assert same_bits(getattr(plan, name), getattr(one, name))
             assert plan.gamma == gamma and same_bits(plan.max_violation, violation)
-            # The lone gamma's violation is check_point's on its point.
-            point = np.concatenate([[one.beta_star], one.x, one.y.ravel()])
-            assert lp.check_point(lp.build_pareto_lp(lad, adv, gamma), point) == one.max_violation
-            assert (violation <= 1e-9) == (one.max_violation <= 1e-9)
-            assert abs(violation - one.max_violation) <= 1e-15
+            # The lone gamma's violation is check_point's on its point, and
+            # the lane's.
+            assert lp.check_point(family, gamma, plan_point(one)) == one.max_violation
+            assert same_bits(violation, one.max_violation)
             one_levels, one_beta = protect.optimal_protection_levels(lad, adv, gamma)
             assert same_bits(beta_pl, one_beta)
             assert same_bits(levels.levels, one_levels.levels)
@@ -441,13 +525,13 @@ class TestLanes:
         lad = core.make_fare_ladder([1.0, 2.0, 4.0], 100)
         adv = core.make_advice(lad, [10, 20, 70])
         gammas = np.linspace(0.0, core.bq_bound(lad), 5)
-        model = lp.build_pareto_lp(lad, adv, gammas)
+        family = lp.hard_family(lad, adv)
         points = self.stacked(lp.water_fill_plan(lad, adv, gammas))
-        assert np.all(lp.verify(model, "optimal", points) <= 1e-9)
-        points[1, 3:] += 1.0  # x_1 one seat over in lanes 3 and 4: both overbook
-        assert np.all(lp.check_point(model, points)[3:] > 1e-9)
+        assert np.all(lp.verify(family, gammas, "optimal", points) <= 1e-9)
+        points[3:, 1] += 1.0  # x_1 one seat over in lanes 3 and 4: both overbook
+        assert np.all(lp.check_point(family, gammas, points)[3:] > 1e-9)
         with pytest.raises(lp.SolverError, match=re.escape(f"gamma={gammas[3]} violates")):
-            lp.verify(model, "optimal", points)
+            lp.verify(family, gammas, "optimal", points)
 
     def test_one_gamma_keeps_its_return_types(self):
         lad, adv = big_gap()
@@ -546,14 +630,21 @@ class TestRootSearch:
 
 
 class TestTieBreak:
-    def test_violating_tie_break_gives_way_to_beta_point(self):
-        # The tie-break solve loses primal feasibility (without the ratio
-        # test's check it returned "optimal" with a point violating the
-        # model by 0.83); solve_beta's own point is feasible.
+    def test_violating_tie_break_gives_way_to_beta_point(self, monkeypatch):
+        # The tie-break solve once lost primal feasibility here (without
+        # the ratio test's check it returned "optimal" with a point
+        # violating the model by 0.83).  With a rounding-level negative rhs
+        # counted as 0 it solves, and its point passes the gate; a
+        # violating tie-break point gives way to solve_beta's own point.
         lad = core.make_fare_ladder([0.03125, 39.03125, 39.28125, 40.28125], 1)
         adv = core.make_advice(lad, [0, 0, 0, 1])
         model = lp.build_pareto_lp(lad, adv, core.bq_bound(lad))
         first = lp.solve_beta(model)
+        sol = lp.solve_lp(model)
+        assert same_bits(sol.beta_star, first.x[0]) and sol.max_violation <= 1e-9
+        bad = SimplexResult("optimal", 0.0, np.full(first.x.size, -1.0))
+        monkeypatch.setattr(lp, "solve_beta", lambda model: first)
+        monkeypatch.setattr(lp, "solve_simplex", lambda *args, **kwargs: bad)
         sol = lp.solve_lp(model)
         assert same_bits(sol.beta_star, first.x[0])
         assert same_bits(sol.x, first.x[1:5])
@@ -561,33 +652,73 @@ class TestTieBreak:
 
     def test_violating_first_point_is_refused(self, monkeypatch):
         # Without the ratio test's check, solve_beta returned "optimal"
-        # here with beta -0.857 and a point violating the model by 3.69
-        # (the LP's beta is 0.98930), and the tie-break point passed.  Now
-        # the simplex stops when the rhs goes negative; a violating first
+        # here with beta -0.857 and a point violating the model by 3.69.
+        # The check then stopped on a rounding-level negative rhs; counted
+        # as 0, the LP solves to water-fill's beta.  A violating first
         # point is still refused, whatever the tie-break finds.
         lad = core.make_fare_ladder([45.679057933118905, 45.6800579331189, 46.179057933118905], 2)
         adv = core.make_advice(lad, [1, 1, 0])
-        model = lp.build_pareto_lp(lad, adv, core.bq_bound(lad))
-        with pytest.raises(lp.SolverError, match="lost primal feasibility"):
-            lp.solve_beta(model)
-        with pytest.raises(lp.SolverError, match="lost primal feasibility"):
-            lp.solve_lp(model)
+        gamma = core.bq_bound(lad)
+        model = lp.build_pareto_lp(lad, adv, gamma)
+        start = time.perf_counter()
+        sol = lp.solve_lp(model)
+        assert time.perf_counter() - start < 2.0
+        assert relative_gap(sol.beta_star, lp.water_fill_plan(lad, adv, gamma).beta_star) <= 1e-9
         point = np.full(model.rows.shape[1], -1.0)  # breaks every x >= 0
-        assert lp.check_point(model, point) > 1e-9
+        assert lp.check_point(model.family, gamma, point) > 1e-9
         monkeypatch.setattr(lp, "solve_beta", lambda model: SimplexResult("optimal", 0.0, point))
         with pytest.raises(lp.SolverError, match="violates the model"):
             lp.solve_lp(model)
 
-    def test_lost_feasibility_fails_fast(self):
-        # The rhs goes negative after 182 phase-1 pivots here; without the
-        # ratio test's check the solve pivoted 50,000 times before its
-        # iteration cap.  The water-fill pass solves the case.
+    def test_lost_feasibility_case_solves_fast(self):
+        # The rhs went to rounding-level negatives after 182 phase-1 pivots
+        # here: without the ratio test's check the solve pivoted 50,000
+        # times to its iteration cap, and with a check on the ratio alone
+        # it stopped.  Counted as 0, such an rhs lets the LP solve.
         fares = [0.0625, 2.8125, 5.25, 9.0, 13.0, 13.6875, 13.75, 14.25, 15.375, 18.8125,
                  22.5625, 24.8125]
         lad = core.make_fare_ladder(fares, 1)
         adv = core.make_advice(lad, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
         gamma = core.bq_bound(lad)
-        model = lp.build_pareto_lp(lad, adv, gamma)
-        with pytest.raises(lp.SolverError, match="phase-1 lost primal feasibility"):
-            lp.solve_beta(model)
-        assert lp.water_fill_plan(lad, adv, gamma).max_violation <= 1e-9
+        start = time.perf_counter()
+        sol = lp.optimal_consistency(lad, adv, gamma)
+        assert time.perf_counter() - start < 2.0
+        plan = lp.water_fill_plan(lad, adv, gamma)
+        assert relative_gap(sol.beta_star, plan.beta_star) <= 1e-9
+        assert max(sol.max_violation, plan.max_violation) <= 1e-9
+
+
+class TestPlanPath:
+    """Plans and their gate read the hard family; only ``solve-lp`` and
+    ``optimal_consistency`` build the dense LP."""
+
+    def test_no_dense_model_on_the_plan_path(self, tmp_path, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("dense LP built")
+
+        monkeypatch.setattr(lp, "build_pareto_lp", no_build)
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 10)
+        adv = core.make_advice(lad, [0, 3, 7])
+        frontier.consistency_frontier(lad, adv, frontier.default_gamma_grid(lad, 5))
+        noise = experiments.NoiseConfig(v=0.5, trials=5, seed=1)
+        experiments.average_cr(lad, adv, "lp_optimal", 0.3, noise, check_bound=True)
+        experiments.robustness_sweep(lad, [adv], gammas=[0.2, 0.4], v_list=[0.5], trials=5,
+                                     seed=3)
+        instance = core.make_instance(lad, [1, 2, 3, 3, 2, 1, 3, 3, 3, 3, 2])
+        policies.run_lp_optimal(lad, adv, 0.3, instance)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fares": [1.0, 2.0, 4.0], "capacity": 10, "advice": [0, 3, 7],
+                                   "gamma": 0.3, "instance": [1, 2, 3, 3, 2, 1, 3],
+                                   "policy": "lp_optimal"}))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_frontier_at_64_classes_within_a_second(self, monkeypatch):
+        # 41 lanes over one hard family: the dense model would hold
+        # (2m + 1 + m^2) x (1 + m + m^2) = 4225 x 4161 doubles.
+        lad = core.make_fare_ladder([1.0 + 0.25 * i for i in range(64)], 200)
+        adv = core.make_advice(lad, [100] + [0] * 62 + [100])
+        families = count_calls(monkeypatch, lp, "hard_family")
+        start = time.perf_counter()
+        curve = frontier.consistency_frontier(lad, adv, frontier.default_gamma_grid(lad, 41))
+        assert time.perf_counter() - start <= 1.0
+        assert families[0] == 1 and curve.beta_lp.shape == (41,)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmadvice import core, kernels, lp, simplex
-from rmadvice.simplex import solve_simplex
+from rmadvice.simplex import SolverError, solve_simplex
 
 from . import oracles
 from .oracles import (
@@ -164,6 +164,15 @@ def small_lps(draw):
     upper = draw(st.none() | st.lists(
         st.sampled_from([np.inf, 0.0, 1.0, 2.0]), min_size=nvars, max_size=nvars))
     return c, A.reshape(nrows, nvars), senses, b, upper, draw(st.booleans())
+
+
+@pytest.mark.parametrize("status, message", [(2, "iteration cap exceeded"),
+                                             (3, "lost primal feasibility")])
+def test_pivot_loop_failure_raises(monkeypatch, status, message):
+    # The pivot loop's failures end a solve with a SolverError.
+    monkeypatch.setattr(simplex, "simplex_iterate", lambda *args: status)
+    with pytest.raises(SolverError, match=f"phase-2 {message}"):
+        solve_simplex([1.0], [[1.0]], ["<="], [1.0])
 
 
 class TestAgainstRowLoopReference:
