@@ -20,15 +20,15 @@ def simplex_iterate(T, basis, ncols, cost_tol, pivot_tol):
     -1e-9 is left out of the test: both are rounding noise, and a pivot on
     such a column would spread the noise through the tableau.
     """
-    nrows, rhs = T.shape[0] - 1, T.shape[1] - 1
+    cost, body = T[-1, :ncols], T[:-1]  # views: pivots update them in place
     for _ in range(50000):  # the iteration cap
-        candidates = np.flatnonzero(T[nrows, :ncols] < -cost_tol)
-        if candidates.size == 0:
+        negative = cost < -cost_tol
+        enter = negative.argmax()  # the lowest index of a negative cost
+        if not negative[enter]:
             return 0
-        enter = candidates[0]
-        rows = np.flatnonzero(T[:nrows, enter] > pivot_tol)
-        b = T[rows, rhs]
-        ratios = b / T[rows, enter]
+        rows = (body[:, enter] > pivot_tol).nonzero()[0]
+        b = body[rows, -1]
+        ratios = b / body[rows, enter]
         leave, best = _ratio_test(rows, ratios, basis)
         if best < -1e-9:
             signal = (ratios >= -1e-9) | (b < -1e-9)
@@ -62,5 +62,5 @@ def _pivot(T, row, col):
     # a +0.0 entry into -0.0.
     f = T[:, col].copy()
     f[row] = 0.0
-    nz = np.flatnonzero(f)
+    nz = f.nonzero()[0]
     T[nz] -= f[nz, None] * T[row]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .simplex import SimplexResult, SolverError, solve_simplex
+from .simplex import SimplexResult, SolverError, reoptimize, solve_simplex
 
 
 @dataclass
@@ -163,25 +163,21 @@ def solve_lp(model: LPModel) -> LPSolution:
     """Maximize beta, then break ties toward the most robust optimum.
 
     The model is usually degenerate: many (x, y) pairs attain the best
-    beta, and some leave fallback capacity unsold.  A second solve fixes
-    beta at its optimum (within 1e-9) and maximizes the revenue-weighted
-    fallback mass, so the policy derived from the solution keeps selling
-    after a switch whenever the constraints allow it.  The first solve's
-    point must pass ``verify``, else ``SolverError`` is raised; a tie-break
-    solve that fails, or whose point fails ``verify``, gives way to the
-    first solve's point.
+    beta, and some leave fallback capacity unsold.  The tie-break adds the
+    row beta >= beta* - 1e-9 and maximizes the revenue-weighted fallback
+    mass, so the policy derived from the solution keeps selling after a
+    switch whenever the constraints allow it: one phase 2 (``reoptimize``)
+    from the first solve's final tableau.  The first solve's point must
+    pass ``verify``, else ``SolverError`` is raised; a tie-break that
+    fails, or whose point fails ``verify``, gives way to the first point.
     """
     family, gamma, m = model.family, model.gamma, len(model.family.fares)
-    result = solve_beta(model)
-    violation = verify(family, gamma, result.status, result.x)
-    beta_star = float(result.x[0])
-    point = result.x
+    first = solve_beta(model)
+    violation = verify(family, gamma, first.status, first.x)
+    beta_star, point = float(first.x[0]), first.x
     secondary = np.concatenate([np.zeros(1 + m), np.tile(family.fares, m)])
-    floor_row = np.eye(1, model.rows.shape[1])[0]  # beta
     try:
-        refined = solve_simplex(secondary, np.vstack([model.rows, floor_row]),
-                                model.senses + [">="], np.append(model.rhs, beta_star - 1e-9),
-                                upper=model.upper, maximize=True)
+        refined = reoptimize(first, secondary, beta_star - 1e-9)
         violation, point = verify(family, gamma, refined.status, refined.x), refined.x
     except SolverError:
         pass

@@ -5,6 +5,7 @@ Solves ``max/min c @ x`` subject to per-row ``<=`` / ``>=`` constraints,
 Phase 1 minimizes artificial variables to find a basic feasible point;
 both phases pivot with Bland's anti-cycling rule.  Rows are normalized by
 their largest coefficient magnitude before the tableau is built.
+``reoptimize`` adds a row ``x_0 >= floor`` to a solved LP and runs phase 2 alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float
     x: np.ndarray
+    tableau: np.ndarray | None = None  # an optimal solve's final tableau and basis,
+    basis: np.ndarray | None = None  # for ``reoptimize``; columns below ncols may enter
+    ncols: int = 0
 
 
 def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
@@ -111,7 +115,23 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
                 _pivot(T, i, candidates[0])
                 basis[i] = candidates[0]
 
-    # Phase 2: restore the true objective relative to the current basis.
+    return _phase2(T, basis, c, ncols, maximize)
+
+
+def reoptimize(result: SimplexResult, c, floor) -> SimplexResult:
+    """``result``'s LP plus the row ``x_0 >= floor`` (floor <= x_0), maximizing ``c`` by one
+    phase 2 from its final tableau, the row's slack basic and before the artificials."""
+    c, ncols, nrows = np.asarray(c, dtype=float), result.ncols, result.tableau.shape[0] - 1
+    T = np.insert(np.insert(result.tableau, ncols, 0.0, axis=1), nrows, 0.0, axis=0)
+    T[nrows, [0, ncols, -1]] = -1.0, 1.0, -floor  # -x_0 + s = -floor
+    basis = np.append(np.where(result.basis >= ncols, result.basis + 1, result.basis), ncols)
+    T[nrows] += T[:nrows][result.basis == 0].sum(axis=0)  # x_0 basic: add its row
+    return _phase2(T, basis, c, ncols + 1, True)
+
+
+def _phase2(T, basis, c, ncols, maximize) -> SimplexResult:
+    """Phase 2 from a feasible basis: ``c``'s reduced costs, pivots, the point."""
+    nvars, nrows, total = c.shape[0], T.shape[0] - 1, T.shape[1] - 1
     obj = np.zeros(total + 1)
     obj[:nvars] = -c if maximize else c
     for i in range(nrows):
@@ -129,5 +149,4 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
     x_full = np.zeros(total)
     x_full[basis] = T[:nrows, total]
     x = np.where(np.abs(x_full[:nvars]) < 1e-12, 0.0, x_full[:nvars])
-    value = float(c @ x)
-    return SimplexResult(status="optimal", objective=value, x=x)
+    return SimplexResult("optimal", float(c @ x), x, T, basis, ncols)

@@ -27,7 +27,7 @@ from rmadvice.core import Instance
 from rmadvice.kernels import simplex_iterate
 from rmadvice.policies import _eq_tol
 from rmadvice.rng import derive_key, splitmix64
-from rmadvice.simplex import COST_TOL, PIVOT_TOL, SimplexResult, SolverError
+from rmadvice.simplex import COST_TOL, PIVOT_TOL, SimplexResult, SolverError, solve_simplex
 
 
 @st.composite
@@ -708,6 +708,20 @@ def reference_solve_simplex(c, A, senses, b, upper=None, maximize=True):
         x_full[basis[i]] = T[i, total]
     x = np.where(np.abs(x_full[:nvars]) < 1e-12, 0.0, x_full[:nvars])
     return SimplexResult(status="optimal", objective=float(c @ x), x=x)
+
+
+def reference_tie_break(model, beta_star):
+    """The tie-break solved cold: a two-phase ``solve_simplex`` from scratch
+    on the model's rows plus the row beta >= beta_star - 1e-9, maximizing
+    the revenue-weighted fallback mass, sum over k and j of f_j y(k)_j.
+    The oracle of ``solve_lp``'s ``simplex.reoptimize`` from the first
+    solve's tableau; may raise ``SolverError``."""
+    m = len(model.family.fares)
+    secondary = np.concatenate([np.zeros(1 + m), np.tile(model.family.fares, m)])
+    floor_row = np.eye(1, model.rows.shape[1])[0]  # beta
+    return solve_simplex(secondary, np.vstack([model.rows, floor_row]),
+                         model.senses + [">="], np.append(model.rhs, beta_star - 1e-9),
+                         upper=model.upper, maximize=True)
 
 
 def _var_index(m, kind, k=0, j=0):

@@ -11,6 +11,8 @@ from rmadvice import core, experiments, lp, simplex
 from rmadvice.cli import main
 from rmadvice.simplex import SimplexResult
 
+from .test_lp import VIOLATING_FIRST_SOLVES
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -362,6 +364,16 @@ class TestSolveLp:
         assert time.perf_counter() - start < 2.0
         assert_beta_is_water_fills(tmp_path / "o", fares, 1, advice, gamma)
 
+    @pytest.mark.parametrize("case", VIOLATING_FIRST_SOLVES, ids=["3-class", "8-class"])
+    def test_near_equal_ladder_is_numerical_failure(self, tmp_path, capsys, case):
+        # solve_beta's point violates the model here (see
+        # test_lp.test_near_equal_ladder_reaches_water_fill_beta): exit 3.
+        lad, adv = case
+        cfg = write_config(tmp_path, {"fares": list(lad.fares), "capacity": lad.capacity,
+                                      "advice": list(adv.counts), "gamma": core.bq_bound(lad)})
+        assert run_failing(tmp_path, "solve-lp", cfg) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
 
 def assert_beta_is_water_fills(out, fares, capacity, advice, gamma):
     """solve-lp's written beta* within 1e-9 (relative) of water-fill's."""
@@ -425,7 +437,7 @@ class TestGolden:
             }),
             ("solve-lp", dict(README_CONFIG, dump_model=True), {
                 "lp_model.txt": "f0c70685b13326d827eb3bf1164f74eba8af86152ec1e2969491b22607dd372e",
-                "lp_solution.json": "c939569a5015ca27b7cf55b29246f54386196bc6b411132c782b52c87ce56f5b",
+                "lp_solution.json": "aa8cf0085cdc1655ac48fab0626977e730b57b197ff4cee3978e483897efc793",
                 "manifest.json": "3bf606fbf16169373913b767d6672d3398c466148ae7727d9888bdf9b2556e8a",
             }),
             ("simulate", dict(SIMULATE_CONFIG, policy="lp_optimal"), {
@@ -489,7 +501,8 @@ class TestNoSimplex:
         def no_simplex(*args, **kwargs):
             raise AssertionError("simplex called")
 
-        monkeypatch.setattr(simplex, "solve_simplex", no_simplex)
-        monkeypatch.setattr(lp, "solve_simplex", no_simplex)
+        for owner in (simplex, lp):
+            monkeypatch.setattr(owner, "solve_simplex", no_simplex)
+            monkeypatch.setattr(owner, "reoptimize", no_simplex)
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0

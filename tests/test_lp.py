@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmadvice import cli, core, experiments, frontier, lp, policies, protect
+from rmadvice import cli, core, experiments, frontier, lp, policies, protect, simplex
 from rmadvice.policies import bq_levels, run_protection_policy
 from rmadvice.simplex import SimplexResult
 
@@ -25,6 +25,7 @@ from .oracles import (
     reference_build_pareto_lp,
     reference_check_point,
     reference_opt,
+    reference_tie_break,
     reference_water_fill_beta,
     same_bits,
     vertex_enumeration_lp,
@@ -51,6 +52,26 @@ ROUNDING_RHS_CASES = (
     solved([1.0, 1.001, 2.251, 66.251, 67.626], 1, [0, 1, 0, 0, 0]),
     solved([1.0, 1.25, 48.25, 48.75, 49.75, 55.75, 56.75], 2, [0, 0, 0, 0, 0, 1, 1]),
     solved([1.0, 1.25, 47.25, 47.75, 48.75, 54.75, 55.75], 2, [0, 0, 0, 0, 0, 1, 1]),
+)
+
+
+# Near-equal ladders at gamma = c(F) on which solve_beta's point violates
+# the model, by 1.5e-9 and by 146.6, so that solve_lp refuses it: pivots as
+# small as PIVOT_TOL lie on the simplex's path.  Water-fill solves both.
+VIOLATING_FIRST_SOLVES = (
+    solved([1.0, 42.86168238656758, 42.86268238656758], 4, [1, 3, 0]),
+    solved([97.21148792314668, 97.71148792314668, 158.97679198319673, 158.97779198319674,
+            182.97779198319674, 229.97779198319674, 292.1314642297328, 293.1314642297328], 4,
+           [0, 0, 1, 1, 0, 1, 1, 0]),
+)
+
+# Ladders on which, at gamma = 0, the warm tie-break gives way and the cold
+# one does not: fares within 1e-7 of each other, and a pair 2e-4 apart
+# above a bottom fare of 0.01.
+WARM_FALLBACKS = (
+    solved([13.707575502930284, 13.707576873687836, 13.707578244445523, 13.707578258153104], 39,
+           [0, 0, 0, 39]),
+    solved([0.01, 38.01, 38.7053125, 38.7365625, 38.744375], 5, [0, 0, 1, 1, 3]),
 )
 
 
@@ -633,8 +654,8 @@ class TestTieBreak:
     def test_violating_tie_break_gives_way_to_beta_point(self, monkeypatch):
         # The tie-break solve once lost primal feasibility here (without
         # the ratio test's check it returned "optimal" with a point
-        # violating the model by 0.83).  With a rounding-level negative rhs
-        # counted as 0 it solves, and its point passes the gate; a
+        # violating the model by 0.83).  Re-optimized from the first
+        # solve's tableau it solves, and its point passes the gate; a
         # violating tie-break point gives way to solve_beta's own point.
         lad = core.make_fare_ladder([0.03125, 39.03125, 39.28125, 40.28125], 1)
         adv = core.make_advice(lad, [0, 0, 0, 1])
@@ -644,7 +665,7 @@ class TestTieBreak:
         assert same_bits(sol.beta_star, first.x[0]) and sol.max_violation <= 1e-9
         bad = SimplexResult("optimal", 0.0, np.full(first.x.size, -1.0))
         monkeypatch.setattr(lp, "solve_beta", lambda model: first)
-        monkeypatch.setattr(lp, "solve_simplex", lambda *args, **kwargs: bad)
+        monkeypatch.setattr(lp, "reoptimize", lambda *args, **kwargs: bad)
         sol = lp.solve_lp(model)
         assert same_bits(sol.beta_star, first.x[0])
         assert same_bits(sol.x, first.x[1:5])
@@ -686,6 +707,115 @@ class TestTieBreak:
         plan = lp.water_fill_plan(lad, adv, gamma)
         assert relative_gap(sol.beta_star, plan.beta_star) <= 1e-9
         assert max(sol.max_violation, plan.max_violation) <= 1e-9
+
+
+    def test_tie_break_runs_no_second_phase_1(self, monkeypatch):
+        # The first solve's two phases, then one phase 2 from its tableau:
+        # a cold tie-break would run two more pivot loops.
+        lad, adv = big_gap()
+        model = lp.build_pareto_lp(lad, adv, 1.0 / 3.0)
+        first = lp.solve_beta(model)
+        assert first.tableau.shape[1] - 1 > first.ncols  # the LP has artificials
+        loops = count_calls(monkeypatch, simplex, "simplex_iterate")
+        lp.solve_lp(model)
+        assert loops[0] == 3
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        case=st.booleans().flatmap(
+            lambda near: ladders_and_advice(max_m=8, max_n=100, near_equal=near)),
+        where=st.sampled_from(("zero", "bound", "interior")),
+        share=st.floats(0.0, 1.0),
+    )
+    @example(case=VIOLATING_FIRST_SOLVES[0], where="bound", share=0.0)
+    @example(case=VIOLATING_FIRST_SOLVES[1], where="bound", share=0.0)
+    @example(case=WARM_FALLBACKS[0], where="zero", share=0.0)
+    @example(case=WARM_FALLBACKS[1], where="zero", share=0.0)
+    def test_warm_tie_break_matches_cold_solve(self, case, where, share):
+        # The tie-break re-optimized from the first solve's tableau against
+        # the same LP solved from scratch, as solve_lp once did.  Where both
+        # pass the gate they reach the same optimum; where one gives way,
+        # solve_lp's point is solve_beta's.  Either can give way alone (see
+        # test_warm_tie_break_passes_gate_where_cold_does).
+        lad, adv = case
+        bound = core.bq_bound(lad)
+        gamma = {"zero": 0.0, "bound": bound, "interior": share * bound}[where]
+        model = lp.build_pareto_lp(lad, adv, gamma)
+        warm = []
+
+        def recording(*args):
+            warm.append(None)  # stays None if reoptimize raises
+            warm[-1] = simplex.reoptimize(*args)
+            return warm[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "reoptimize", recording)
+            try:
+                sol = lp.solve_lp(model)
+            except lp.SolverError:
+                # solve_beta failed or its point is refused, before any tie-break
+                assert not warm
+                with pytest.raises(lp.SolverError):
+                    first = lp.solve_beta(model)
+                    lp.verify(model.family, gamma, first.status, first.x)
+                return
+        first = lp.solve_beta(model)
+        assert same_bits(sol.beta_star, first.x[0]) and len(warm) == 1
+        try:
+            cold = reference_tie_break(model, sol.beta_star)
+        except lp.SolverError:
+            cold = None
+        point = warm[0].x if tie_break_passes(model, warm[0]) else first.x
+        assert same_bits(sol.x, point[1 : 1 + len(sol.x)])
+        assert sol.max_violation <= 1e-9
+        if tie_break_passes(model, warm[0]) and tie_break_passes(model, cold):
+            # Two pivot paths stop at optima that agree up to the simplex's
+            # optimality tolerance (reduced costs down to -COST_TOL remain)
+            # and up to the worth of the floor's 1e-9, which one path may
+            # use and the other not: beta 1e-9 lower frees at most
+            # 1e-9 Opt(A) / f_1 seats for each of the m trigger rows.
+            family = model.family
+            tol = simplex.COST_TOL * max(abs(cold.objective), family.capacity)
+            tol += 1e-9 * len(family.fares) * family.advice_opt / family.fares[0]
+            assert abs(warm[0].objective - cold.objective) <= tol
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the warm tie-break's point violates the model")
+    @pytest.mark.parametrize("case", WARM_FALLBACKS, ids=["near-equal", "near-equal-pair"])
+    def test_warm_tie_break_passes_gate_where_cold_does(self, case):
+        # At gamma = 0 the cold tie-break's point passes the gate; the warm
+        # one pivots on an entry of 2.6e-11 or 2.9e-11, rounding noise in
+        # the first solve's tableau just above PIVOT_TOL, and violates the
+        # model by 2.4e-7 or 4.0, so solve_lp keeps solve_beta's point.
+        # Such splits go both ways: the cold tie-break also gives way alone
+        # on other ladders.  A Harris ratio test, taking the largest pivot
+        # among near-tied ratios, is the open fix.
+        lad, adv = case
+        model = lp.build_pareto_lp(lad, adv, 0.0)
+        first = lp.solve_beta(model)
+        assert tie_break_passes(model, reference_tie_break(model, first.x[0]))
+        m = len(lad.fares)
+        secondary = np.concatenate([np.zeros(1 + m), np.tile(model.family.fares, m)])
+        assert tie_break_passes(model, simplex.reoptimize(first, secondary, first.x[0] - 1e-9))
+
+
+@pytest.mark.xfail(strict=True, raises=lp.SolverError,
+                   reason="solve_beta's point violates the model")
+@pytest.mark.parametrize("case", VIOLATING_FIRST_SOLVES, ids=["3-class", "8-class"])
+def test_near_equal_ladder_reaches_water_fill_beta(case):
+    # solve_lp refuses solve_beta's point here.  A Harris ratio test, taking
+    # the largest pivot among near-tied ratios, is the open fix.
+    lad, adv = case
+    gamma = core.bq_bound(lad)
+    sol = lp.optimal_consistency(lad, adv, gamma)
+    assert relative_gap(sol.beta_star, lp.water_fill_plan(lad, adv, gamma).beta_star) <= 1e-9
+
+
+def tie_break_passes(model, result):
+    """Whether a tie-break result (``None`` for a ``SolverError``) passes
+    ``lp.verify``."""
+    return (result is not None and result.status == "optimal"
+            and lp.check_point(model.family, model.gamma, result.x) <= 1e-9)
 
 
 class TestPlanPath:

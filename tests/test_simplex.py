@@ -187,14 +187,21 @@ class TestAgainstRowLoopReference:
         lad, adv = case
         statuses = []
 
-        def both(*args, **kwargs):
+        def checked(*args, **kwargs):
             res = assert_same_as_row_loop(*args, **kwargs)
             statuses.append(res.status)
             return res
 
-        # Both solves of ``solve_lp``: beta, then the tie-break.
+        def tie_break(*args):
+            res = simplex.reoptimize(*args)
+            statuses.append(res.status)
+            return res
+
+        # The first solve of ``solve_lp``, for beta; the tie-break
+        # re-optimizes from its final tableau.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp, "solve_simplex", both)
+            mp.setattr(lp, "solve_simplex", checked)
+            mp.setattr(lp, "reoptimize", tie_break)
             lp.solve_lp(lp.build_pareto_lp(lad, adv, share * core.bq_bound(lad)))
         assert statuses == ["optimal", "optimal"]
 
@@ -209,3 +216,25 @@ class TestAgainstRowLoopReference:
     def test_small_lps_bitwise(self, lp_case):
         c, A, senses, b, upper, maximize = lp_case
         assert_same_as_row_loop(c, A, senses, b, upper=upper, maximize=maximize)
+
+
+class TestReoptimize:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(small_lps(), st.lists(COEF, min_size=4, max_size=4))
+    @example(([3.0, 1.0], [[1.0, 1.0]], [">="], [1.0], [2.0, 2.0], False),
+             [0.0, 1.0, 0.0, 0.0])  # x_0 nonbasic at 0, an artificial column
+    def test_matches_cold_solve_with_the_floor_row(self, lp_case, objective):
+        # From an optimal tableau, adding x_0 >= x_0* - 1e-9 and maximizing
+        # a new objective gives the optimum of that LP solved from scratch.
+        c, A, senses, b, upper, maximize = lp_case
+        first = solve_simplex(c, A, senses, b, upper=upper, maximize=maximize)
+        if first.status != "optimal":
+            return
+        c2, floor = objective[: len(c)], first.x[0] - 1e-9
+        warm = simplex.reoptimize(first, c2, floor)
+        cold = solve_simplex(c2, np.vstack([A, np.eye(1, len(c))]), senses + [">="],
+                             np.append(b, floor), upper=upper)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.x[0] >= floor - 1e-12
