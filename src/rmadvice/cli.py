@@ -164,7 +164,7 @@ def cmd_simulate(cfg: dict, args) -> dict:
     instance = _checked(core.make_instance, ladder, _require(cfg, "instance"))
     policy = cfg.get("policy", "lp_optimal")
     gamma = _gamma(cfg.get("gamma", 0.0), ladder)
-    setup = _checked(experiments._policy_setup, ladder, advice, policy, gamma, args.epsilon)
+    setup = _checked(experiments._policy_setup, ladder, advice, [policy], gamma, args.epsilon)[0]
     if isinstance(setup, policies.ProtectionLevels):
         trace = policies.run_protection_policy(ladder, setup, instance)
     else:

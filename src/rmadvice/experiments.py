@@ -130,21 +130,21 @@ def average_cr(
     ``lp_relaxed`` (the error-tolerant switching policy at
     ``relaxed_epsilon``).
     """
-    setup = _policy_setup(ladder, advice, policy, gamma, relaxed_epsilon)
+    setup = _policy_setup(ladder, advice, [policy], gamma, relaxed_epsilon)[0]
     counts = sample_counts(ladder, advice, noise)
     return _mean_std(_realized_ratios(ladder, advice, setup, counts, check_bound))
 
 
 def _policy_setup(
-    ladder: core.FareLadder, advice: core.Advice, policy, gamma, relaxed_epsilon: float = 0.1,
+    ladder: core.FareLadder, advice: core.Advice, names, gamma, relaxed_epsilon: float = 0.1,
 ):
-    """A policy's inputs at ``(advice, gamma)``: levels, or a switch plan
-    with its trigger slack.  The one map from a policy name to its set-up,
-    for the sweeps here and for the CLI's ``simulate``.  A list of names
-    gives one set-up per name, and an array of gammas (lanes) a list over
-    them from one call of each search; the switching policies share it."""
-    lanes, plans, made = not isinstance(gamma, float) and bool(np.shape(gamma)), None, []
-    for name in [policy] if isinstance(policy, str) else policy:
+    """Each named policy's inputs at ``(advice, gamma)``: levels, or a
+    switch plan with its trigger slack.  The one map from a policy name to
+    its set-up, for the sweeps here and for the CLI's ``simulate``.  An
+    array of gammas (lanes) gives each name a list over them from one call
+    of each search; the switching policies share it."""
+    lanes, plans, made = np.ndim(gamma) > 0, None, []
+    for name in names:
         if name in ("lp_optimal", "lp_relaxed"):
             if name == "lp_relaxed" and relaxed_epsilon <= 0.0:
                 raise ValueError("epsilon must be positive")
@@ -160,8 +160,7 @@ def _policy_setup(
             made.append([bq_levels(ladder)] * (len(gamma) if lanes else 1))
         else:
             raise ValueError(f"unknown policy {name!r}")
-    made = made if lanes else [setups[0] for setups in made]
-    return made[0] if isinstance(policy, str) else made
+    return made if lanes else [setups[0] for setups in made]
 
 
 def _realized_ratios(

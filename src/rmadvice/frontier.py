@@ -32,18 +32,12 @@ def default_gamma_grid(ladder: core.FareLadder, points: int = 41) -> np.ndarray:
     return np.linspace(0.0, core.bq_bound(ladder), points)
 
 
-def consistency_frontier(
-    ladder: core.FareLadder,
-    advice: core.Advice,
-    gamma_grid=None,
-) -> FrontierCurve:
+def consistency_frontier(ladder: core.FareLadder, advice: core.Advice, gamma_grid) -> FrontierCurve:
     """Evaluate both consistency curves over a gamma grid.
 
     ``beta_lp`` comes from ``lp.water_fill_plan``, whose points must pass
     ``lp.verify``.  Each search takes the whole grid as lanes in one call.
     """
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid(ladder)
     gammas = np.asarray(gamma_grid, dtype=float)
     plans = lp.water_fill_plan(ladder, advice, gammas)
     levels = protect.optimal_protection_levels(ladder, advice, gammas)
@@ -55,11 +49,7 @@ def consistency_frontier(
     )
 
 
-def relative_suboptimality(
-    ladder: core.FareLadder,
-    advice: core.Advice,
-    gamma_grid=None,
-) -> float:
+def relative_suboptimality(ladder: core.FareLadder, advice: core.Advice, gamma_grid) -> float:
     """Largest relative gap between the LP and protection-level curves."""
     curve = consistency_frontier(ladder, advice, gamma_grid)
     gaps = (curve.beta_lp - curve.beta_pl) / curve.beta_lp

@@ -61,8 +61,6 @@ class LPSolution:
     beta_star: float
     x: np.ndarray  # (m,) phase-1 acceptances per class
     y: np.ndarray  # (m, m): y[k-1, j-1] fallback acceptances
-    gamma: float
-    m: int
     max_violation: float = np.nan
 
 
@@ -116,7 +114,8 @@ def check_point(family: HardFamily, gamma, point):
     its definition, independent of the solver and of the dense rows.  Each
     row's violation is divided by its largest coefficient or rhs magnitude.
     Points are in the LP's column order, with lanes on leading axes and
-    ``gamma`` one per lane.  A NaN anywhere makes the result NaN.
+    ``gamma`` one per lane; the result is an array over the lanes (0-d for
+    one point).  A NaN anywhere makes the result NaN.
     """
     point = np.asarray(point, dtype=float)
     f, n, m, lead = family.fares, family.capacity, len(family.fares), point.shape[:-1]
@@ -132,9 +131,7 @@ def check_point(family: HardFamily, gamma, point):
         (continued / np.maximum(np.maximum.outer(f, f), targets)).reshape(*lead, m * m),
         beta - 1.0, (x - family.caps) / np.maximum(family.caps, 1.0), -point,
     ], axis=-1).max(axis=-1)
-    if point.ndim > 1:
-        return np.where(worst <= 0.0, 0.0, worst)
-    return 0.0 if worst <= 0.0 else float(worst)
+    return np.where(worst <= 0.0, 0.0, worst)
 
 
 def verify(family: HardFamily, gamma, status: str, point):
@@ -153,10 +150,7 @@ def verify(family: HardFamily, gamma, status: str, point):
 
 def solve_beta(model: LPModel) -> SimplexResult:
     """Maximize beta: the first solve of ``solve_lp``, without its tie-break."""
-    return solve_simplex(
-        model.objective, model.rows, model.senses, model.rhs,
-        upper=model.upper, maximize=True,
-    )
+    return solve_simplex(model.objective, model.rows, model.senses, model.rhs, upper=model.upper)
 
 
 def solve_lp(model: LPModel) -> LPSolution:
@@ -182,7 +176,7 @@ def solve_lp(model: LPModel) -> LPSolution:
     except SolverError:
         pass
     x, y = point[1 : 1 + m].copy(), point[1 + m :].reshape(m, m).copy()
-    return LPSolution("optimal", beta_star, x, y, gamma, m, violation)
+    return LPSolution("optimal", beta_star, x, y, float(violation))
 
 
 def water_fill_plan(ladder: core.FareLadder, advice: core.Advice, gamma):
@@ -196,7 +190,7 @@ def water_fill_plan(ladder: core.FareLadder, advice: core.Advice, gamma):
     and a pass failing at c(F) raises ``SolverError``.  An array of gammas
     (lanes) gives a list of one solution per lane: the family is built
     once, each lane searched as a lone gamma is, and the plans finished and
-    gated together."""
+    gated together; a lone gamma is one lane, unwrapped at the return."""
     core.check_gamma(ladder, gamma)
     family = hard_family(ladder, advice)
     gammas = np.ravel(np.asarray(gamma, dtype=float))
@@ -215,12 +209,9 @@ def water_fill_plan(ladder: core.FareLadder, advice: core.Advice, gamma):
     y = np.diff(steps) / f
     y[..., -1] += np.maximum(0.0, family.capacity - np.cumsum(x, axis=1) - y.sum(axis=2))
     point = np.concatenate([np.reshape(beta, (count, 1)), x, y.reshape(count, m * m)], axis=1)
-    if np.ndim(gamma) == 0:
-        violation = verify(family, gamma, "optimal", point[0])
-        return LPSolution("optimal", beta[0], x[0], y[0], gamma, m, violation)
     violation = verify(family, gammas, "optimal", point)
-    return [LPSolution("optimal", *fields, m, v)
-            for *fields, v in zip(beta, x, y, gammas.tolist(), violation)]
+    plans = [LPSolution("optimal", *fields) for fields in zip(beta, x, y, violation.tolist())]
+    return plans[0] if np.ndim(gamma) == 0 else plans
 
 
 def _lanes(family: HardFamily, gammas) -> list:

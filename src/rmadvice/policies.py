@@ -58,10 +58,8 @@ class PolicyTrace:
     fare_indices: tuple[int, ...]
     accepted: np.ndarray  # per-step accepted fraction
     q: np.ndarray  # final cumulative accepted counts per class
-    arrivals: np.ndarray  # arrivals seen per class
     revenue: float
     trigger_time: int | None = None  # 1-based step of the phase switch
-    switch_base_index: int | None = None  # start row of the fallback search
     chosen_k: int | None = None  # fallback row actually used
     search_iterations: int = 0
 
@@ -129,21 +127,19 @@ def run_protection_policy(
     classes = [s - 1 for s in instance.steps]
     q = [0.0] * ladder.m
     accepted = [_book(q, limits, p, 1) for p in classes]
-    return _trace(ladder, instance, classes, accepted, q, core.fare_counts(instance, ladder.m))
+    return _trace(ladder, instance, classes, accepted, q)
 
 
-def _trace(ladder, instance, classes, accepted, q, arrivals, tau=0, s_row=0, k_row=0, iters=0):
-    """The ``PolicyTrace`` of a step run; rows and trigger step of 0 mean
+def _trace(ladder, instance, classes, accepted, q, tau=0, k_row=0, iters=0):
+    """The ``PolicyTrace`` of a step run; a row and trigger step of 0 mean
     "never"."""
     accepted = np.array(accepted, dtype=float)
     return PolicyTrace(
         fare_indices=instance.steps,
         accepted=accepted,
         q=np.array(q),
-        arrivals=np.array(arrivals, dtype=float),
         revenue=float(np.dot(accepted, np.asarray(ladder.fares)[classes])),
         trigger_time=tau or None,
-        switch_base_index=s_row or None,
         chosen_k=k_row or None,
         search_iterations=iters,
     )
@@ -156,7 +152,8 @@ def derive_switch_plan(solution: lp.LPSolution) -> SwitchPlan:
     at the phase-1 limit frozen at ``k`` plus partial sums of ``y(k)``.
     """
     base = np.cumsum(solution.x)
-    frozen = base[np.minimum.outer(np.arange(solution.m), np.arange(solution.m))]
+    classes = np.arange(len(base))
+    frozen = base[np.minimum.outer(classes, classes)]
     return SwitchPlan(base=base, fallback=frozen + np.cumsum(solution.y, axis=1))
 
 
@@ -171,10 +168,10 @@ def _run_switch(ladder, advice, instance, plan, epsilon) -> PolicyTrace:
     classes = [s - 1 for s in instance.steps]
     # ``_trace`` prices ``accepted`` with one ``np.dot``; the loop's
     # running revenue sums in another order and may differ in the last bit.
-    accepted, q, seen, tau, s_row, k_row, iters, _ = _switch_runs(
+    accepted, q, tau, k_row, iters, _ = _switch_runs(
         classes, [1] * len(classes), *_switch_inputs(ladder, advice, plan, epsilon)
     )
-    return _trace(ladder, instance, classes, accepted, q, seen, tau, s_row, k_row, iters)
+    return _trace(ladder, instance, classes, accepted, q, tau, k_row, iters)
 
 
 def switch_block_revenue(ladder: core.FareLadder, advice: core.Advice, plan: SwitchPlan,
@@ -214,16 +211,16 @@ def _switch_runs(
     Before the trigger, a run above ``ell0`` keeps in phase 1 the arrivals
     that bring the class count up to ``floor(trigger_mult * A_p)``; the
     next arrival triggers, and the rest of the run books against the
-    chosen row.  Returns the amount booked per run, ``q``, the arrivals
-    per class, the 1-based trigger step, the 1-based start and chosen rows
-    of the fallback search (0 if never), its number of moves, and the
-    revenue at ``fares``, added once per booked part.
+    chosen row.  Returns the amount booked per run, ``q``, the 1-based
+    trigger step and chosen row of the fallback search (0 if never), its
+    number of moves, and the revenue at ``fares``, added once per booked
+    part.
     """
     q = [0.0] * len(base)
     seen = [0] * len(base)
     booked = []
     limits = base
-    arrived = tau = s_row = k_row = iters = 0
+    arrived = tau = k_row = iters = 0
     revenue = 0.0
     for p, c in zip(classes, counts):
         take, rest = 0, c
@@ -237,8 +234,8 @@ def _switch_runs(
                 revenue += take * fares[p]
             if rest:
                 tau = arrived + before + 1
-                s0, k, iters = fallback_search(q, base, fallback, eq_tol)
-                s_row, k_row = s0 + 1, k + 1
+                k, iters = fallback_search(q, base, fallback, eq_tol)
+                k_row = k + 1
                 limits = fallback[k]
         if rest:
             more = _book(q, limits, p, rest)
@@ -247,7 +244,7 @@ def _switch_runs(
         seen[p] += c
         arrived += c
         booked.append(take)
-    return booked, q, seen, tau, s_row, k_row, iters, revenue
+    return booked, q, tau, k_row, iters, revenue
 
 
 def _book(q, limits, p, count):
@@ -273,17 +270,16 @@ def fallback_search(q, base_levels, fallback_levels, eq_tol):
 
     The search starts from the highest class filled to its base level and
     moves to the first class whose bookings exceed the current row, until
-    a row dominates ``q``.  Returns the 0-based start and chosen rows and
-    the number of moves; raises ``RuntimeError`` if no row dominates ``q``
+    a row dominates ``q``.  Returns the 0-based chosen row and the number
+    of moves; raises ``RuntimeError`` if no row dominates ``q``
     within ``m`` moves.
     """
     m = len(base_levels)
-    s0 = max((j for j in range(m) if base_levels[j] - q[j] <= eq_tol), default=0)
-    k = s0
+    k = max((j for j in range(m) if base_levels[j] - q[j] <= eq_tol), default=0)
     for moves in range(m + 1):
         bad = next((j for j in range(m) if q[j] > fallback_levels[k][j] + eq_tol), -1)
         if bad < 0:
-            return s0, k, moves
+            return k, moves
         k = bad
     raise RuntimeError(f"fallback search found no row dominating the bookings in {m} moves")
 

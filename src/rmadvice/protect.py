@@ -152,7 +152,7 @@ def optimal_protection_levels(
     # The upper end is never tried: one double above 1 lets beta reach 1.
     lo, hi, n = core.bq_bound(ladder), math.nextafter(1.0, 2.0), float(ladder.capacity)
     found = []
-    for g in [gamma] if isinstance(gamma, float) else np.ravel(gamma).tolist():
+    for g in np.ravel(gamma).tolist():
         def trial(beta, g=g):
             candidate = grow_levels_for_beta(ladder, advice, g, beta, terms)
             return (candidate if candidate.feasible else None), candidate.root
@@ -166,4 +166,4 @@ def optimal_protection_levels(
             beta = candidate.settle
             candidate = grow_levels_for_beta(ladder, advice, g, beta, terms)
         found.append((ProtectionLevels(levels=tuple(min(v, n) for v in candidate.levels)), beta))
-    return found[0] if isinstance(gamma, float) or not np.shape(gamma) else found
+    return found[0] if np.ndim(gamma) == 0 else found

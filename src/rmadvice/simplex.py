@@ -1,6 +1,6 @@
 """Self-contained dense two-phase primal simplex solver.
 
-Solves ``max/min c @ x`` subject to per-row ``<=`` / ``>=`` constraints,
+Solves ``max c @ x`` subject to per-row ``<=`` / ``>=`` constraints,
 ``x >= 0`` and optional finite upper bounds (folded in as extra rows).
 Phase 1 minimizes artificial variables to find a basic feasible point;
 both phases pivot with Bland's anti-cycling rule.  Rows are normalized by
@@ -31,15 +31,14 @@ _FAILURES = {2: "iteration cap exceeded", 3: "lost primal feasibility"}
 @dataclass
 class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    objective: float
     x: np.ndarray
     tableau: np.ndarray | None = None  # an optimal solve's final tableau and basis,
     basis: np.ndarray | None = None  # for ``reoptimize``; columns below ncols may enter
     ncols: int = 0
 
 
-def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
-    """Solve a dense LP with nonnegative variables.
+def solve_simplex(c, A, senses, b, upper=None) -> SimplexResult:
+    """Maximize ``c @ x`` over a dense LP with nonnegative variables.
 
     Args:
         c: objective coefficients, length ``nvars``.
@@ -47,7 +46,6 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
         senses: per-row "<=" or ">=".
         b: right-hand sides, length ``nrows``.
         upper: optional per-variable upper bounds (``np.inf`` for none).
-        maximize: objective sense.
     """
     c = np.asarray(c, dtype=float)
     nvars = c.shape[0]
@@ -106,7 +104,7 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
             raise SolverError(f"phase-1 {_FAILURES[status]}")
         phase1_obj = -T[nrows, total]
         if phase1_obj > 1e-7:
-            return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
+            return SimplexResult(status="infeasible", x=np.full(nvars, np.nan))
         # Pivot remaining basic artificials out where possible; rows whose
         # non-artificial coefficients vanished are redundant and inert.
         for i in np.flatnonzero(basis >= ncols):
@@ -115,7 +113,7 @@ def solve_simplex(c, A, senses, b, upper=None, maximize=True) -> SimplexResult:
                 _pivot(T, i, candidates[0])
                 basis[i] = candidates[0]
 
-    return _phase2(T, basis, c, ncols, maximize)
+    return _phase2(T, basis, c, ncols)
 
 
 def reoptimize(result: SimplexResult, c, floor) -> SimplexResult:
@@ -126,14 +124,14 @@ def reoptimize(result: SimplexResult, c, floor) -> SimplexResult:
     T[nrows, [0, ncols, -1]] = -1.0, 1.0, -floor  # -x_0 + s = -floor
     basis = np.append(np.where(result.basis >= ncols, result.basis + 1, result.basis), ncols)
     T[nrows] += T[:nrows][result.basis == 0].sum(axis=0)  # x_0 basic: add its row
-    return _phase2(T, basis, c, ncols + 1, True)
+    return _phase2(T, basis, c, ncols + 1)
 
 
-def _phase2(T, basis, c, ncols, maximize) -> SimplexResult:
+def _phase2(T, basis, c, ncols) -> SimplexResult:
     """Phase 2 from a feasible basis: ``c``'s reduced costs, pivots, the point."""
     nvars, nrows, total = c.shape[0], T.shape[0] - 1, T.shape[1] - 1
     obj = np.zeros(total + 1)
-    obj[:nvars] = -c if maximize else c
+    obj[:nvars] = -c
     for i in range(nrows):
         col = basis[i]
         if col < nvars and obj[col] != 0.0:
@@ -143,10 +141,9 @@ def _phase2(T, basis, c, ncols, maximize) -> SimplexResult:
     if status in _FAILURES:
         raise SolverError(f"phase-2 {_FAILURES[status]}")
     if status == 1:
-        return SimplexResult(status="unbounded", objective=np.inf if maximize else -np.inf,
-                             x=np.full(nvars, np.nan))
+        return SimplexResult(status="unbounded", x=np.full(nvars, np.nan))
 
     x_full = np.zeros(total)
     x_full[basis] = T[:nrows, total]
     x = np.where(np.abs(x_full[:nvars]) < 1e-12, 0.0, x_full[:nvars])
-    return SimplexResult("optimal", float(c @ x), x, T, basis, ncols)
+    return SimplexResult("optimal", x, T, basis, ncols)

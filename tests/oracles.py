@@ -254,11 +254,10 @@ def reference_fallback_search(q, base_levels, fallback_levels, eq_tol):
     """Reference fallback-row search over numpy arrays; same contract as
     ``policies.fallback_search``."""
     m = base_levels.shape[0]
-    s0 = 0
+    k = 0
     for j in range(m):
         if base_levels[j] - q[j] <= eq_tol:
-            s0 = j
-    k = s0
+            k = j
     iters = 0
     while True:
         bad = -1
@@ -272,7 +271,7 @@ def reference_fallback_search(q, base_levels, fallback_levels, eq_tol):
         iters += 1
         if iters > m:
             break
-    return s0, k, iters
+    return k, iters
 
 
 def reference_switch_run(
@@ -280,10 +279,10 @@ def reference_switch_run(
 ):
     """Reference switching-policy run over numpy scalars, one arrival at a
     time, on 0-based ``fare_idx``.  Returns the per-step accepted fractions,
-    the final cumulative counts, the arrivals per class, the 1-based
-    trigger step, start and chosen rows of the fallback search (0 if
-    never) and its number of moves, as ``policies.run_lp_optimal`` (with
-    ``trigger_mult`` 1) and ``run_relaxed_optimal`` record them."""
+    the final cumulative counts, the 1-based trigger step and chosen row
+    of the fallback search (0 if never) and its number of moves, as
+    ``policies.run_lp_optimal`` (with ``trigger_mult`` 1) and
+    ``run_relaxed_optimal`` record them."""
     m = advice_counts.shape[0]
     T = fare_idx.shape[0]
     q = np.zeros(m)
@@ -291,7 +290,6 @@ def reference_switch_run(
     w = np.zeros(T)
     switched = False
     tau = 0
-    s_row = 0
     k_row = 0
     search_iters = 0
     for t in range(T):
@@ -300,8 +298,7 @@ def reference_switch_run(
         if (not switched) and p > ell0 and a[p] > trigger_mult * advice_counts[p]:
             switched = True
             tau = t + 1
-            s0, k, search_iters = reference_fallback_search(q, base_levels, fallback_levels, eq_tol)
-            s_row = s0 + 1
+            k, search_iters = reference_fallback_search(q, base_levels, fallback_levels, eq_tol)
             k_row = k + 1
         if not switched:
             if cap_phase1 != 0 and p > ell0 and a[p] > advice_counts[p]:
@@ -324,7 +321,7 @@ def reference_switch_run(
             for j in range(p, m):
                 q[j] += room
         w[t] = room
-    return w, q, a, tau, s_row, k_row, search_iters
+    return w, q, tau, k_row, search_iters
 
 
 def reference_switch_block_revenue(ladder, advice, plan, counts, epsilon=0.0):
@@ -359,7 +356,7 @@ def reference_switch_block_revenue(ladder, advice, plan, counts, epsilon=0.0):
         sold += take
         if p > ell0 and c > mult * a:
             q = np.array(booked + [sold] * (ladder.m - p))
-            _, k, _ = reference_fallback_search(q, plan.base, plan.fallback, _eq_tol(ladder))
+            k, _ = reference_fallback_search(q, plan.base, plan.fallback, _eq_tol(ladder))
             limit = room_limits(plan.fallback[k])
             rest = [c - math.floor(mult * a)] + list(counts[p + 1 :])
             for j, arrivals in enumerate(rest, start=p):
@@ -609,8 +606,9 @@ def reference_grow_levels(ladder, advice, gamma, beta):
 
 def reference_solve_simplex(c, A, senses, b, upper=None, maximize=True):
     """Reference two-phase simplex that builds its tableau and pivots the
-    phase-1 artificials out one row and one element at a time; same
-    contract as ``simplex.solve_simplex``, pivoting with
+    phase-1 artificials out one row and one element at a time; the
+    contract of ``simplex.solve_simplex`` with the objective's sense as a
+    parameter (``maximize=False`` minimizes), pivoting with
     ``kernels.simplex_iterate``."""
     c = np.asarray(c, dtype=float)
     nvars = c.shape[0]
@@ -676,7 +674,7 @@ def reference_solve_simplex(c, A, senses, b, upper=None, maximize=True):
         if status == 2:
             raise SolverError("phase-1 iteration cap exceeded")
         if -T[nrows, total] > 1e-7:
-            return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
+            return SimplexResult(status="infeasible", x=np.full(nvars, np.nan))
         for i in range(nrows):
             if basis[i] >= ncols:
                 for j in range(ncols):
@@ -700,28 +698,32 @@ def reference_solve_simplex(c, A, senses, b, upper=None, maximize=True):
     if status == 2:
         raise SolverError("phase-2 iteration cap exceeded")
     if status == 1:
-        return SimplexResult(status="unbounded", objective=np.inf if maximize else -np.inf,
-                             x=np.full(nvars, np.nan))
+        return SimplexResult(status="unbounded", x=np.full(nvars, np.nan))
 
     x_full = np.zeros(total)
     for i in range(nrows):
         x_full[basis[i]] = T[i, total]
     x = np.where(np.abs(x_full[:nvars]) < 1e-12, 0.0, x_full[:nvars])
-    return SimplexResult(status="optimal", objective=float(c @ x), x=x)
+    return SimplexResult(status="optimal", x=x)
+
+
+def tie_break_objective(model):
+    """The tie-break's objective over the LP's columns: the revenue-weighted
+    fallback mass, sum over k and j of f_j y(k)_j."""
+    m = len(model.family.fares)
+    return np.concatenate([np.zeros(1 + m), np.tile(model.family.fares, m)])
 
 
 def reference_tie_break(model, beta_star):
     """The tie-break solved cold: a two-phase ``solve_simplex`` from scratch
     on the model's rows plus the row beta >= beta_star - 1e-9, maximizing
-    the revenue-weighted fallback mass, sum over k and j of f_j y(k)_j.
-    The oracle of ``solve_lp``'s ``simplex.reoptimize`` from the first
-    solve's tableau; may raise ``SolverError``."""
-    m = len(model.family.fares)
-    secondary = np.concatenate([np.zeros(1 + m), np.tile(model.family.fares, m)])
+    ``tie_break_objective``.  The oracle of ``solve_lp``'s
+    ``simplex.reoptimize`` from the first solve's tableau; may raise
+    ``SolverError``."""
     floor_row = np.eye(1, model.rows.shape[1])[0]  # beta
-    return solve_simplex(secondary, np.vstack([model.rows, floor_row]),
+    return solve_simplex(tie_break_objective(model), np.vstack([model.rows, floor_row]),
                          model.senses + [">="], np.append(model.rhs, beta_star - 1e-9),
-                         upper=model.upper, maximize=True)
+                         upper=model.upper)
 
 
 def _var_index(m, kind, k=0, j=0):

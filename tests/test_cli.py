@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rmadvice import core, experiments, lp, simplex
+from rmadvice import core, experiments, frontier, lp, simplex
 from rmadvice.cli import main
 from rmadvice.simplex import SimplexResult
 
@@ -124,6 +124,7 @@ class TestExitCodes:
             ("frontier", 5),
             ("robustness --seed=-1", dict(BASE, gamma_grid=[0.2])),
             ("robustness --seed=18446744073709551616", dict(BASE, gamma_grid=[0.2])),
+            ("frontier", dict(BASE, gamma_grid={"min": 0.0, "max": 0.1, "points": 0})),
         ],
         ids=[
             "gamma-above-bound", "gamma-negative-bq", "grid-point-above-bound",
@@ -137,6 +138,7 @@ class TestExitCodes:
             "gamma-bool", "gamma-text", "fares-text", "fares-text-entries", "fares-bool-entry",
             "grid-entry-text", "grid-min-text", "v-list-bool", "v-text", "grid-points-negative",
             "config-list", "config-number", "seed-negative", "seed-2-to-the-64",
+            "grid-points-zero",
         ],
     )
     def test_rejected_input(self, tmp_path, capsys, command, payload):
@@ -178,7 +180,7 @@ class TestExitCodes:
         # water-fill pass, made to fail at every beta.
         def infeasible(model):
             nvars = model.rows.shape[1]
-            return SimplexResult(status="infeasible", objective=np.nan, x=np.full(nvars, np.nan))
+            return SimplexResult(status="infeasible", x=np.full(nvars, np.nan))
 
         monkeypatch.setattr(lp, "solve_beta", infeasible)
         monkeypatch.setattr(lp, "_water_fill", lambda lane: lambda beta: (None, np.nan))
@@ -216,6 +218,12 @@ class TestFrontier:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "frontier"
         assert len(manifest["config_sha256"]) == 64
+        # Without a grid the frontier runs on the default 41-point one.
+        cfg = write_config(tmp_path, BASE, name="no_grid.json")
+        assert main(["frontier", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        rows = (tmp_path / "d" / "frontier.csv").read_text().strip().split("\n")[1:]
+        grid = frontier.default_gamma_grid(core.make_fare_ladder(BASE["fares"], BASE["capacity"]))
+        assert [float(row.split(",")[0]) for row in rows] == grid.tolist()
 
     def test_rerun_identical(self, tmp_path):
         payload = dict(BASE, gamma_grid={"min": 0.0, "max": 0.5, "points": 3})
@@ -342,7 +350,7 @@ class TestSolveLp:
         assert main(["solve-lp", "--config", cfg, "--out", str(tmp_path / "solved")]) == 0
         assert time.perf_counter() - start < 2.0
         assert_beta_is_water_fills(tmp_path / "solved", fares, 2, [1, 1, 0], gamma)
-        bad = SimplexResult("optimal", 0.0, np.full(1 + 3 + 9, -1.0))
+        bad = SimplexResult("optimal", np.full(1 + 3 + 9, -1.0))
         monkeypatch.setattr(lp, "solve_beta", lambda model: bad)
         assert run_failing(tmp_path, "solve-lp", cfg) == 3
         assert "numerical failure:" in capsys.readouterr().err

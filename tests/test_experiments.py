@@ -243,6 +243,8 @@ class TestAverageCr:
         noise = NoiseConfig(v=0.4, trials=30, seed=8)
         mean, _ = average_cr(lad, adv, "lp_relaxed", 0.3, noise, relaxed_epsilon=0.2)
         assert mean >= 0.3 / 1.2 - 1e-9
+        with pytest.raises(ValueError, match="positive"):
+            average_cr(lad, adv, "lp_relaxed", 0.3, noise, relaxed_epsilon=0.0)
 
 
 class TestRobustnessBound:

@@ -8,9 +8,10 @@ import sys
 
 import rmadvice
 
-# Modules the package must not pull in at import time: scipy is only an
-# oracle of the tests and the benchmark, hypothesis and pytest are test
-# tools, and fractions is not needed by the float code.
+# Modules the package must not pull in at import time: scipy is only the
+# benchmark's oracle (its lp-cold check, which rmbench's self-tests run),
+# hypothesis and pytest are test tools, and fractions is not needed by the
+# float code.
 HEAVY = ("scipy", "hypothesis", "pytest", "fractions")
 
 

@@ -74,6 +74,9 @@ class TestProtectionPolicy:
             run_protection_policy(
                 lad, ProtectionLevels(levels=(2.0, 1.0)), core.Instance(steps=())
             )
+        for levels in [(2.0,), (1.0, 1.0, 2.0)]:  # one level per class
+            with pytest.raises(ValueError, match="length"):
+                run_protection_policy(lad, ProtectionLevels(levels=levels), core.Instance(steps=()))
 
     def test_nan_levels_rejected(self):
         # NaN passes any check written as "fail when below the bound"; at
@@ -226,8 +229,7 @@ class TestSwitchingPolicy:
             adv = core.make_advice(lad, counts)
             gamma = float(rng.uniform(0.0, core.bq_bound(lad)))
             eps = float(rng.choice([0.05, 0.1, 0.3]))
-            setups = [experiments._policy_setup(lad, adv, "lp_optimal", gamma),
-                      experiments._policy_setup(lad, adv, "lp_relaxed", gamma, eps)]
+            setups = experiments._policy_setup(lad, adv, ["lp_optimal", "lp_relaxed"], gamma, eps)
             floors = [gamma - 1e-9, gamma / (1.0 + eps) - 1e-9]
             instances = hard_instances(lad, adv) + [
                 core.Instance(tuple(rng.integers(1, m + 1, size=rng.integers(1, 3 * n + 1))))
@@ -285,7 +287,15 @@ class TestSwitchingPolicy:
             assert trace.search_iterations <= lad.m
             if trace.trigger_time is not None:
                 fired += 1
-                assert trace.chosen_k >= trace.switch_base_index
+                # The search starts at the highest class filled to its base
+                # level by the bookings before the trigger, and only moves up.
+                q = [0.0] * lad.m
+                for s, w in zip(steps[: trace.trigger_time - 1], trace.accepted):
+                    for k in range(s - 1, lad.m):
+                        q[k] += w
+                start = 1 + max((j for j in range(lad.m)
+                                 if plan.base[j] - q[j] <= _eq_tol(lad)), default=0)
+                assert trace.chosen_k >= start
         assert fired > 0
 
     def test_increasing_order_is_worst_for_levels(self):
@@ -363,6 +373,17 @@ class TestRelaxedPolicy:
         relaxed2 = run_relaxed_optimal(lad, adv, g, 1.0, longer, plan)
         assert relaxed2.trigger_time == 5
 
+    def test_default_plan_is_water_fill_plan(self):
+        # Without a plan both switching runners take the water-fill plan.
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 10)
+        adv = core.make_advice(lad, [0, 8, 2])
+        g, inst = 0.3, core.Instance(steps=(1, 3, 2, 3, 3, 2, 1, 3))
+        plan = derive_switch_plan(lp.water_fill_plan(lad, adv, g))
+        for run, args in [(run_lp_optimal, (g,)), (run_relaxed_optimal, (g, 0.2))]:
+            alone, planned = run(lad, adv, *args, inst), run(lad, adv, *args, inst, plan)
+            assert same_bits(alone.accepted, planned.accepted)
+            assert (alone.trigger_time, alone.chosen_k) == (planned.trigger_time, planned.chosen_k)
+
     def test_epsilon_must_be_positive(self):
         lad = core.make_fare_ladder([1.0, 2.0], 2)
         adv = core.make_advice(lad, [0, 2])
@@ -425,7 +446,7 @@ def plan_from(x, y):
     """Switch plan of an arbitrary nonnegative (x, y), as from an LP solution."""
     m = len(x)
     sol = lp.LPSolution(status="optimal", beta_star=0.0, x=np.asarray(x),
-                        y=np.asarray(y).reshape(m, m), gamma=0.0, m=m)
+                        y=np.asarray(y).reshape(m, m))
     return derive_switch_plan(sol)
 
 
@@ -494,12 +515,11 @@ class TestRunLoop:
         # The numpy-scalar reference warns on inf * 0 (infinite slack, A_p = 0).
         with np.errstate(invalid="ignore"):
             want = reference_switch_run(*switch_args(lad, adv, plan, epsilon, steps))
-        for a, b in zip((trace.accepted, trace.q, trace.arrivals), want[:3]):
+        for a, b in zip((trace.accepted, trace.q), want[:2]):
             assert same_bits(a, b)
-        # trigger step, start and chosen rows, search moves: equal ints
-        got = (trace.trigger_time or 0, trace.switch_base_index or 0, trace.chosen_k or 0,
-               trace.search_iterations)
-        assert got == want[3:] and all(type(v) is int for v in got)
+        # trigger step, chosen row, search moves: equal ints
+        got = (trace.trigger_time or 0, trace.chosen_k or 0, trace.search_iterations)
+        assert got == want[2:] and all(type(v) is int for v in got)
         fares = np.asarray(lad.fares)[np.array(steps, dtype=np.int64)]
         assert same_bits(trace.revenue, np.dot(want[0], fares))
 
@@ -530,7 +550,7 @@ class TestRunLoop:
         )
         steps = [p for p, c in runs for _ in range(c)]
         encoded = [(p, len(list(g))) for p, g in itertools.groupby(steps)]
-        booked, q, seen, tau, _, k_row, _, revenue = _switch_runs(
+        booked, q, tau, k_row, _, revenue = _switch_runs(
             [p for p, _ in encoded], [c for _, c in encoded], lad.fares, adv.counts,
             adv.lowest_index - 1, plan.base.tolist(), plan.fallback.tolist(),
             1.0 + epsilon, epsilon > 0.0, _eq_tol(lad),
@@ -542,7 +562,6 @@ class TestRunLoop:
             assert_close(take, float(np.sum(trace.accepted[stop - c : stop])))
         for a, b in zip(q, trace.q):
             assert_close(a, b)
-        assert seen == trace.arrivals.tolist()
         assert tau == (trace.trigger_time or 0)
         assert k_row == (trace.chosen_k or 0)
 
@@ -556,7 +575,7 @@ class TestRunLoop:
         trace = run_lp_optimal(lad, adv, 0.0, core.Instance((2,)), plan)
         want = reference_switch_run(*switch_args(lad, adv, plan, 0.0, [1]))
         assert want[0].tobytes() == np.array([-0.0]).tobytes()
-        for a, b in zip((trace.accepted, trace.q, trace.arrivals), want[:3]):
+        for a, b in zip((trace.accepted, trace.q), want[:2]):
             assert same_bits(a, b)
         assert trace.trigger_time == 1
 

@@ -22,19 +22,19 @@ class TestHandCases:
         # [DERIVED] max x+y s.t. x+2y<=4, 3x+y<=6 -> x=8/5, y=6/5, value 14/5.
         res = solve_simplex([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6])
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(14.0 / 5.0, abs=1e-10)
+        assert sum(res.x) == pytest.approx(14.0 / 5.0, abs=1e-10)
         assert res.x == pytest.approx([8.0 / 5.0, 6.0 / 5.0], abs=1e-10)
 
     def test_min_sense(self):
-        # [DERIVED] min x+y s.t. x+y>=2 -> 2.
-        res = solve_simplex([1, 1], [[1, 1]], [">="], [2], maximize=False)
+        # [DERIVED] min x+y s.t. x+y>=2 -> 2, solved as max -x-y.
+        res = solve_simplex([-1, -1], [[1, 1]], [">="], [2])
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(2.0, abs=1e-10)
+        assert sum(res.x) == pytest.approx(2.0, abs=1e-10)
 
     def test_upper_bounds(self):
         res = solve_simplex([1, 1], np.empty((0, 2)), [], [], upper=[2.0, 3.0])
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(5.0, abs=1e-10)
+        assert sum(res.x) == pytest.approx(5.0, abs=1e-10)
 
     def test_infeasible(self):
         res = solve_simplex([1], [[1], [1]], ["<=", ">="], [1, 2])
@@ -45,19 +45,30 @@ class TestHandCases:
         assert res.status == "unbounded"
 
     def test_degenerate_constraints(self):
-        # redundant duplicated rows must not confuse phase 1.
+        # redundant duplicated rows must not confuse phase 1 (min x+y as
+        # max -x-y).
         res = solve_simplex(
-            [1, 1], [[1, 1], [1, 1], [2, 2]], [">=", ">=", ">="], [1, 1, 2],
-            upper=[5.0, 5.0], maximize=False,
+            [-1, -1], [[1, 1], [1, 1], [2, 2]], [">=", ">=", ">="], [1, 1, 2],
+            upper=[5.0, 5.0],
         )
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(1.0, abs=1e-10)
+        assert sum(res.x) == pytest.approx(1.0, abs=1e-10)
 
     def test_equality_via_pair(self):
         # x = 3 expressed as <= plus >=.
         res = solve_simplex([2], [[1], [1]], ["<=", ">="], [3, 3])
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(3.0, abs=1e-10)
+
+    def test_malformed_input_rejected(self):
+        # rows, senses and rhs of different lengths; a sense that is
+        # neither "<=" nor ">=".
+        with pytest.raises(ValueError, match="align"):
+            solve_simplex([1, 1], [[1, 1]], ["<=", "<="], [1])
+        with pytest.raises(ValueError, match="align"):
+            solve_simplex([1, 1], [[1, 1]], ["<="], [1, 2])
+        with pytest.raises(ValueError, match="sense"):
+            solve_simplex([1, 1], [[1, 1]], ["=="], [1])
 
 
 def random_feasible_lp(rng, nvars, nrows):
@@ -92,7 +103,7 @@ class TestAgainstVertexEnumeration:
             assert res.status == "optimal"
             ref_val, _ = vertex_enumeration_lp(c, A, senses, b, upper=upper)
             assert ref_val is not None
-            assert res.objective == pytest.approx(ref_val, abs=1e-8)
+            assert c @ res.x == pytest.approx(ref_val, abs=1e-8)
             checked += 1
 
     def test_solution_feasibility(self):
@@ -113,13 +124,13 @@ class TestAgainstVertexEnumeration:
             assert np.all(res.x <= upper + 1e-8)
 
 
-def assert_same_as_row_loop(*args, **kwargs):
+def assert_same_as_row_loop(c, *args, maximize=True, **kwargs):
     """Solve with the array set-up and the row-loop reference.  Both must
     hand the pivot loop the same tableaux bit for bit, so that the sign of
     every zero matches, and give the same status and the same bits of
-    ``x``.  The pivot loop is deterministic and its inputs must match, so
-    the reference replays the loop's recorded results instead of pivoting
-    again."""
+    ``x``.  The solver minimizes ``c`` as it maximizes ``-c``.  The pivot
+    loop is deterministic and its inputs must match, so the reference
+    replays the loop's recorded results instead of pivoting again."""
     runs = []
 
     def recording(T, basis, ncols, cost_tol, pivot_tol):
@@ -139,12 +150,11 @@ def assert_same_as_row_loop(*args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "simplex_iterate", recording)
         mp.setattr(oracles, "simplex_iterate", replaying)
-        res = solve_simplex(*args, **kwargs)
-        ref = reference_solve_simplex(*args, **kwargs)
+        res = solve_simplex(c if maximize else np.negative(c), *args, **kwargs)
+        ref = reference_solve_simplex(c, *args, maximize=maximize, **kwargs)
     assert not runs, "the solver pivots more often than the reference"
     assert res.status == ref.status
     assert same_bits(res.x, ref.x)
-    assert same_bits(res.objective, ref.objective)
     return res
 
 
@@ -154,7 +164,8 @@ COEF = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 0.3])
 @st.composite
 def small_lps(draw):
     """Small LPs over a few coefficients, zeros frequent, so that all-zero
-    rows, infeasible and unbounded problems all come up."""
+    rows, infeasible and unbounded problems all come up; the last entry
+    is the sense (``True`` to maximize ``c``, ``False`` to minimize it)."""
     nvars = draw(st.integers(1, 4))
     nrows = draw(st.integers(0, 5))
     c = [draw(COEF) for _ in range(nvars)]
@@ -169,10 +180,13 @@ def small_lps(draw):
 @pytest.mark.parametrize("status, message", [(2, "iteration cap exceeded"),
                                              (3, "lost primal feasibility")])
 def test_pivot_loop_failure_raises(monkeypatch, status, message):
-    # The pivot loop's failures end a solve with a SolverError.
+    # The pivot loop's failures end a solve with a SolverError, in either
+    # phase: the row x >= 1 needs an artificial, so its solve runs phase 1.
     monkeypatch.setattr(simplex, "simplex_iterate", lambda *args: status)
     with pytest.raises(SolverError, match=f"phase-2 {message}"):
         solve_simplex([1.0], [[1.0]], ["<="], [1.0])
+    with pytest.raises(SolverError, match=f"phase-1 {message}"):
+        solve_simplex([1.0], [[1.0]], [">="], [1.0])
 
 
 class TestAgainstRowLoopReference:
@@ -227,7 +241,7 @@ class TestReoptimize:
         # From an optimal tableau, adding x_0 >= x_0* - 1e-9 and maximizing
         # a new objective gives the optimum of that LP solved from scratch.
         c, A, senses, b, upper, maximize = lp_case
-        first = solve_simplex(c, A, senses, b, upper=upper, maximize=maximize)
+        first = solve_simplex(c if maximize else np.negative(c), A, senses, b, upper=upper)
         if first.status != "optimal":
             return
         c2, floor = objective[: len(c)], first.x[0] - 1e-9
@@ -236,5 +250,5 @@ class TestReoptimize:
                              np.append(b, floor), upper=upper)
         assert warm.status == cold.status
         if cold.status == "optimal":
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert np.dot(c2, warm.x) == pytest.approx(np.dot(c2, cold.x), abs=1e-9)
             assert warm.x[0] >= floor - 1e-12
