@@ -179,15 +179,14 @@ def cmd_simulate(cfg: dict, args) -> dict:
         "trigger_time": trace.trigger_time,
     }
     print(f"realized competitive ratio: {ratio:.6f}")
-    rows = []
-    q = np.zeros(ladder.m)
-    revenue = 0.0
-    for t, p in enumerate(trace.fare_indices, start=1):
-        w = float(trace.accepted[t - 1])
-        q[p - 1 :] += w
-        revenue += w * ladder.fares[p - 1]
-        switched = int(trace.trigger_time is not None and t >= trace.trigger_time)
-        rows.append([t, p, ladder.fares[p - 1], w, *q, switched, revenue])
+    steps = np.array(trace.fare_indices, dtype=int)
+    w, fares = trace.accepted, np.asarray(ladder.fares)[steps - 1]
+    # Sequential sums from a zero row: the doubles of a step-by-step loop.
+    added = np.column_stack([w[:, None] * (np.arange(ladder.m) >= steps[:, None] - 1), w * fares])
+    running = np.cumsum(np.vstack([np.zeros(ladder.m + 1), added]), axis=0)[1:].tolist()
+    tau = trace.trigger_time or len(steps) + 1
+    rows = [[t, p, f, a, *r[:-1], int(t >= tau), r[-1]] for t, p, f, a, r in
+            zip(range(1, len(steps) + 1), steps.tolist(), fares.tolist(), w.tolist(), running)]
     header = (["step", "fare_index", "fare", "accepted_fraction"]
               + [f"q_{i}" for i in range(1, ladder.m + 1)] + ["switched", "revenue_so_far"])
     return {"trace.csv": _csv(header, rows), "summary.json": _json(summary)}

@@ -12,13 +12,12 @@ before switching.
 
 Both policies book through one rule (``_book``): a class books on top of
 the classes below it, as far as every cumulative limit from its own class
-up allows.  The step runners replay arrivals in any order, one request at
-a time, on Python lists made from the instance's steps.  The switching
-policy has one loop over runs of same-class arrivals (``_switch_runs``):
-a replay passes runs of one arrival, a block instance one run per class.
+up allows.  The step runners replay arrivals in any order in batches
+(``_book_steps``) that book what one ``_book`` call per arrival would.
 On increasing block instances, given as per-class counts, both policies
 cost O(m) work: ``block_revenue`` is a closed form over count arrays, and
-``switch_block_revenue`` runs the switching loop on each count row.
+``switch_block_revenue`` runs the switching loop over runs of same-class
+arrivals (``_switch_runs``) on each count row.
 """
 
 from __future__ import annotations
@@ -124,20 +123,27 @@ def run_protection_policy(
         raise ValueError("levels must be nonnegative and nondecreasing")
     if not limits[-1] <= ladder.capacity + tol:
         raise ValueError("levels must not exceed capacity")
-    classes = [s - 1 for s in instance.steps]
-    q = [0.0] * ladder.m
-    accepted = [_book(q, limits, p, 1) for p in classes]
+    classes = _classes(ladder, instance)
+    q = np.zeros(ladder.m)
+    accepted = _book_steps(q, np.array(limits), classes, np.zeros(len(classes), dtype=bool))
     return _trace(ladder, instance, classes, accepted, q)
+
+
+def _classes(ladder, instance) -> np.ndarray:
+    """The instance's 0-based classes, checked to lie in ``0..m-1``."""
+    classes = np.fromiter(instance.steps, np.intp, len(instance.steps)) - 1
+    if not ((classes >= 0) & (classes < ladder.m)).all():
+        raise ValueError("instance steps must be 1-based fare-class indices")
+    return classes
 
 
 def _trace(ladder, instance, classes, accepted, q, tau=0, k_row=0, iters=0):
     """The ``PolicyTrace`` of a step run; a row and trigger step of 0 mean
     "never"."""
-    accepted = np.array(accepted, dtype=float)
     return PolicyTrace(
         fare_indices=instance.steps,
         accepted=accepted,
-        q=np.array(q),
+        q=q,
         revenue=float(np.dot(accepted, np.asarray(ladder.fares)[classes])),
         trigger_time=tau or None,
         chosen_k=k_row or None,
@@ -157,21 +163,25 @@ def derive_switch_plan(solution: lp.LPSolution) -> SwitchPlan:
     return SwitchPlan(base=base, fallback=frozen + np.cumsum(solution.y, axis=1))
 
 
-def _switch_inputs(ladder, advice, plan, epsilon):
-    """The arguments of ``_switch_runs`` after the runs, for the switching
-    policy with slack ``epsilon`` (0 for ``run_lp_optimal``)."""
-    return (ladder.fares, advice.counts, advice.lowest_index - 1, plan.base.tolist(),
-            plan.fallback.tolist(), 1.0 + epsilon, epsilon > 0.0, _eq_tol(ladder))
-
-
 def _run_switch(ladder, advice, instance, plan, epsilon) -> PolicyTrace:
-    classes = [s - 1 for s in instance.steps]
-    # ``_trace`` prices ``accepted`` with one ``np.dot``; the loop's
-    # running revenue sums in another order and may differ in the last bit.
-    accepted, q, tau, k_row, iters, _ = _switch_runs(
-        classes, [1] * len(classes), *_switch_inputs(ladder, advice, plan, epsilon)
-    )
-    return _trace(ladder, instance, classes, accepted, q, tau, k_row, iters)
+    """``_switch_runs``' policy on a sequence: the trigger step from the
+    class counts, then phase 1 and the rest as two ``_book_steps`` runs."""
+    classes, counts = _classes(ladder, instance), advice.counts
+    end = len(classes)  # the 0-based trigger step, or the end if none
+    forced = np.zeros(end, dtype=bool)  # phase-1 arrivals that book nothing
+    for p in range(advice.lowest_index, ladder.m):  # the classes above the lowest advised
+        seen, bound = np.flatnonzero(classes == p), (1.0 + epsilon) * counts[p]
+        if bound < math.inf and math.floor(bound) < len(seen):
+            end = min(end, int(seen[math.floor(bound)]))
+        forced[seen[counts[p]:]] = epsilon > 0.0
+    q = np.zeros(ladder.m)
+    accepted = _book_steps(q, plan.base, classes[:end], forced[:end])
+    if end == len(classes):
+        return _trace(ladder, instance, classes, accepted, q)
+    k, iters = fallback_search(q, plan.base, plan.fallback, _eq_tol(ladder))
+    rest = _book_steps(q, plan.fallback[k], classes[end:], np.zeros(len(classes) - end, bool))
+    accepted = np.concatenate([accepted, rest])
+    return _trace(ladder, instance, classes, accepted, q, end + 1, k + 1, iters)
 
 
 def switch_block_revenue(ladder: core.FareLadder, advice: core.Advice, plan: SwitchPlan,
@@ -188,7 +198,8 @@ def switch_block_revenue(ladder: core.FareLadder, advice: core.Advice, plan: Swi
     if not epsilon >= 0.0:
         raise ValueError("epsilon must be nonnegative")
     counts = np.asarray(counts)
-    inputs = _switch_inputs(ladder, advice, plan, epsilon)
+    inputs = (ladder.fares, advice.counts, advice.lowest_index - 1, plan.base.tolist(),
+              plan.fallback.tolist(), 1.0 + epsilon, epsilon > 0.0, _eq_tol(ladder))
     revenue = [_switch_runs(range(ladder.m), row, *inputs)[-1]
                for row in counts.reshape(-1, ladder.m).tolist()]
     return np.array(revenue).reshape(counts.shape[:-1])[()]  # a scalar for one row
@@ -198,7 +209,8 @@ def _switch_runs(
     classes, counts, fares, advice_counts, ell0, base, fallback, trigger_mult, cap_phase1, eq_tol
 ):
     """Run the switching policy over runs of arrivals, on lists: run ``r``
-    is ``counts[r]`` arrivals of 0-based class ``classes[r]``.
+    is ``counts[r]`` arrivals of 0-based class ``classes[r]``, in O(1) work
+    per run; ``switch_block_revenue`` passes one run per class.
 
     Phase 1 books against ``base``.  The first arrival of a class above
     ``ell0`` (the 0-based lowest advised class) whose running count
@@ -262,6 +274,42 @@ def _book(q, limits, p, count):
         for k in range(p, len(q)):
             q[k] += room
     return room
+
+
+_BATCH = 1024  # arrivals one batch of ``_book_steps`` covers at most
+
+
+def _book_steps(q, limits, classes, forced):
+    """``[_book(q, limits, p, 1) for p in classes]``, bit for bit, with ``q``
+    a float array; arrivals flagged in ``forced`` book 0.0.  A batch books
+    by each class's room at its start: 1 books 1 and at most 0 books it (0.0
+    if negative) all batch long, as a booking of 1 takes no slack below 0.
+    ``q`` follows as a sequential ``np.add.accumulate``, the loop's additions
+    in order.  The batch stops at an arrival with partial room or whose
+    slack fell below 1, and ``_book`` books it alone.
+    """
+    upper = np.arange(len(limits)) >= classes[:, None]  # the counts each arrival books into
+    accepted = np.zeros(len(classes))
+    start = 0
+    while start < len(classes):
+        room, rooms = 1.0, []  # ``_book``'s first least slack, from the top class down
+        for slack in (limits - q)[::-1].tolist():
+            room = slack if slack <= room else room
+            rooms.append(0.0 if room < 0.0 else room)
+        book = np.array(rooms[::-1])[classes[start:start + _BATCH]]
+        book[forced[start:start + _BATCH]] = 0.0
+        steps = upper[start:start + len(book)] & (book[:, None] == 1.0)
+        path = np.add.accumulate(np.vstack([q, steps]), axis=0)
+        alone = np.flatnonzero(((book > 0.0) & (book < 1.0))
+                               | (steps & (limits - path[:-1] < 1.0)).any(axis=1))
+        size = alone[0] if len(alone) else len(book)
+        q[:] = path[size]
+        if size < len(book):
+            book[size] = _book(q, limits, classes[start + size], 1)
+            size += 1
+        accepted[start:start + size] = book[:size]
+        start += size
+    return accepted
 
 
 def fallback_search(q, base_levels, fallback_levels, eq_tol):

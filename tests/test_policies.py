@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmadvice import cli, core, experiments, lp
+from rmadvice import cli, core, experiments, lp, policies
 from rmadvice.policies import (
     ProtectionLevels,
     SwitchPlan,
@@ -499,10 +499,65 @@ def switch_args(lad, adv, plan, epsilon, steps):
 RUNS_PROPERTY = settings(PROPERTY, max_examples=100)
 
 
+def long_case(data, rng):
+    """A ladder with up to 8 classes and capacity up to 1000, advice, and a
+    shuffled conforming sequence or up to 3n uniform arrivals."""
+    m, n = data.draw(st.integers(1, 8), label="m"), int(rng.integers(1, 1001))
+    lad = core.make_fare_ladder(np.cumsum(rng.uniform(0.05, 10.0, m)), n)
+    adv = core.make_advice(lad, rng.multinomial(n, np.full(m, 1.0 / m)))
+    if data.draw(st.booleans(), label="conforming"):
+        counts = np.array(adv.counts)
+        counts[adv.lowest_index - 1] += rng.integers(0, n + 1)
+        steps = rng.permutation(np.repeat(np.arange(m), counts))
+    else:
+        steps = rng.integers(0, m, size=rng.integers(0, 3 * n + 1))
+    return lad, adv, steps
+
+
+def signed_zeros(values, rng):
+    """``values`` with a random prefix set to 0.0 and -0.0 entries, which
+    keeps nondecreasing values nondecreasing."""
+    values = np.array(values, dtype=float)
+    z = rng.integers(0, len(values) + 1)
+    values[:z] = rng.choice([0.0, -0.0], size=z)
+    return values
+
+
+def lone_bookings(monkeypatch):
+    """Patch ``policies._book`` to record the class and amount of each call."""
+    calls, book = [], policies._book
+
+    def recording(q, limits, p, count):
+        calls.append((int(p), float(book(q, limits, p, count))))
+        return calls[-1][1]
+
+    monkeypatch.setattr(policies, "_book", recording)
+    return calls
+
+
+def assert_runs_match_references(lad, adv, plan, epsilon, levels, steps):
+    """Both step runners on ``steps`` against their references, bit for bit."""
+    inst = core.Instance(tuple((np.asarray(steps, dtype=int) + 1).tolist()))
+    fares = np.asarray(lad.fares)[np.asarray(steps, dtype=np.int64)]
+    trace = step_revenue(lad, adv, plan, epsilon, inst)
+    with np.errstate(invalid="ignore"):  # the reference's inf * 0 (A_p = 0)
+        want = reference_switch_run(*switch_args(lad, adv, plan, epsilon, steps))
+    for a, b in zip((trace.accepted, trace.q), want[:2]):
+        assert same_bits(a, b)
+    assert (trace.trigger_time or 0, trace.chosen_k or 0, trace.search_iterations) == want[2:]
+    assert same_bits(trace.revenue, np.dot(want[0], fares))
+    levelled = run_protection_policy(lad, ProtectionLevels(tuple(levels.tolist())), inst)
+    want = reference_protection_run(np.asarray(steps, dtype=np.int64), levels)
+    for a, b in zip((levelled.accepted, levelled.q), want):
+        assert same_bits(a, b)
+    assert same_bits(levelled.revenue, np.dot(want[0], fares))
+    return trace, levelled
+
+
 class TestRunLoop:
-    """The list-based run loop against the numpy-scalar step loops it
-    replaced (bit for bit), and runs longer than one arrival against the
-    step replay of their expansion."""
+    """The step runners against the numpy-scalar step loops they replaced
+    (bit for bit), and runs longer than one arrival against the step replay
+    of their expansion."""
 
     @RUNS_PROPERTY
     @given(block_cases(), st.data())
@@ -578,6 +633,120 @@ class TestRunLoop:
         for a, b in zip((trace.accepted, trace.q), want[:2]):
             assert same_bits(a, b)
         assert trace.trigger_time == 1
+
+    @RUNS_PROPERTY
+    @given(st.data())
+    def test_long_replays_match_references_bitwise(self, data):
+        # Replays of up to 3n arrivals fill batches; plans and levels on
+        # whole seats and with 0.0 and -0.0 entries give exact 0 slacks.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        lad, adv, steps = long_case(data, rng)
+        m, n = lad.m, lad.capacity
+        whole = np.floor if data.draw(st.booleans(), label="whole") else np.asarray
+        if data.draw(st.booleans(), label="lp_plan"):
+            gamma = rng.uniform(0.0, core.bq_bound(lad))
+            plan = derive_switch_plan(lp.optimal_consistency(lad, adv, gamma))
+        else:
+            plan = plan_from(signed_zeros(whole(rng.uniform(0.0, n / 2, m)), rng),
+                             signed_zeros(whole(rng.uniform(0.0, n / 2, m * m)), rng))
+        epsilon = data.draw(st.sampled_from([0.0, 0.1, math.inf]), label="epsilon")
+        levels = np.cumsum(rng.uniform(0.0, 1.0, m))
+        levels = signed_zeros(whole(levels * n / levels[-1]), rng)
+        assert_runs_match_references(lad, adv, plan, epsilon, levels, steps)
+
+    def test_batch_ends_on_a_partial_booking(self, monkeypatch):
+        # [DERIVED] level 2.5 for class 1: the third class-1 arrival finds
+        # half a seat, and only it is booked alone (the switching run's
+        # plan leaves whole seats only).
+        lad = core.make_fare_ladder([1.0, 2.0], 10)
+        adv = core.make_advice(lad, [5, 5])
+        calls = lone_bookings(monkeypatch)
+        _, levelled = assert_runs_match_references(
+            lad, adv, plan_from([5.0, 5.0], [0.0] * 4), 0.0, np.array([2.5, 10.0]),
+            [0, 0, 0, 0, 1, 1])
+        assert same_bits(levelled.accepted, [1.0, 1.0, 0.5, 0.0, 1.0, 1.0])
+        assert calls == [(0, 0.5)]
+
+    def test_full_class_turns_partial_after_a_higher_booking(self, monkeypatch):
+        # [DERIVED] levels (5, 5.5): class 1 has room 5 at the start, but
+        # five class-2 bookings leave it half a seat of the top level (the
+        # switching run's plan leaves whole seats only).
+        lad = core.make_fare_ladder([1.0, 2.0], 10)
+        adv = core.make_advice(lad, [5, 5])
+        calls = lone_bookings(monkeypatch)
+        _, levelled = assert_runs_match_references(
+            lad, adv, plan_from([5.0, 5.0], [0.0] * 4), 0.0, np.array([5.0, 5.5]),
+            [1, 1, 1, 1, 1, 0, 0])
+        assert same_bits(levelled.accepted, [1.0] * 5 + [0.5, 0.0])
+        assert calls == [(0, 0.5)]
+
+    @pytest.mark.parametrize("advice, steps, tau", [
+        ([4, 0], [1, 0, 0, 1], 1),  # A_2 = 0: the first arrival triggers
+        ([2, 2], [0, 1, 0, 1, 1], 5),  # the third class-2 arrival is the last
+    ])
+    def test_trigger_at_first_and_last_arrival(self, advice, steps, tau):
+        lad = core.make_fare_ladder([1.0, 2.0], 4)
+        adv = core.make_advice(lad, advice)
+        plan = plan_from([2.0, 2.0], [0.0, 1.0, 0.0, 1.0])
+        trace, _ = assert_runs_match_references(lad, adv, plan, 0.0, np.array([2.0, 4.0]), steps)
+        assert trace.trigger_time == tau
+
+    def test_empty_instance(self):
+        lad = core.make_fare_ladder([1.0, 2.0, 4.0], 5)
+        adv = core.make_advice(lad, [1, 2, 2])
+        plan = plan_from([1.0, 2.0, 2.0], [0.0] * 9)
+        for epsilon in (0.0, 0.1):
+            for trace in assert_runs_match_references(lad, adv, plan, epsilon,
+                                                      np.array([1.0, 3.0, 5.0]), []):
+                assert trace.accepted.shape == (0,) and trace.revenue == 0.0
+                assert same_bits(trace.q, np.zeros(3)) and trace.trigger_time is None
+
+    def test_relaxed_books_nothing_beyond_advice(self):
+        # [DERIVED] epsilon 0.5, A_2 = 4: the 5th and 6th class-2 arrivals
+        # book 0.0 with base room left, and the 7th (7 > 1.5 * 4) triggers.
+        lad = core.make_fare_ladder([1.0, 2.0], 10)
+        adv = core.make_advice(lad, [6, 4])
+        plan = plan_from([6.0, 4.0], [0.0] * 4)
+        trace, _ = assert_runs_match_references(lad, adv, plan, 0.5, np.array([6.0, 10.0]),
+                                                [1] * 7 + [0])
+        assert same_bits(trace.accepted[:6], [1.0] * 4 + [0.0] * 2)
+        assert trace.trigger_time == 7
+
+    @pytest.mark.parametrize("step", [0, -1, 3])
+    def test_steps_outside_the_ladder_rejected(self, step):
+        # Both runners once booked step 0 at the top fare; numpy would wrap
+        # -1 around too.
+        lad = core.make_fare_ladder([1.0, 2.0], 4)
+        adv = core.make_advice(lad, [2, 2])
+        inst = core.Instance((1, step, 2))
+        plan = plan_from([2.0, 2.0], [0.0] * 4)
+        runs = [lambda: run_protection_policy(lad, bq_levels(lad), inst),
+                lambda: run_lp_optimal(lad, adv, 0.0, inst, plan),
+                lambda: run_relaxed_optimal(lad, adv, 0.0, 0.1, inst, plan)]
+        for run in runs:
+            with pytest.raises(ValueError, match="fare-class indices"):
+                run()
+
+    @pytest.mark.parametrize("conforming", [True, False])
+    def test_long_replay_books_few_arrivals_alone(self, monkeypatch, conforming):
+        # 3,000 arrivals at m = 6: each runner books a handful of arrivals
+        # through ``_book``, not one call per arrival.
+        lad = core.make_fare_ladder([1.5 ** i for i in range(6)], 1000)
+        adv = core.make_advice(lad, [300, 250, 200, 120, 80, 50])
+        rng = np.random.default_rng(3)
+        counts = np.array(adv.counts) + [2000, 0, 0, 0, 0, 0]
+        steps = (rng.permutation(np.repeat(np.arange(1, 7), counts)) if conforming
+                 else rng.integers(1, 7, size=3000))
+        inst = core.Instance(tuple(steps.tolist()))
+        gamma = 0.5 * core.bq_bound(lad)
+        plan = derive_switch_plan(lp.optimal_consistency(lad, adv, gamma))
+        calls = lone_bookings(monkeypatch)
+        for run in (lambda: run_protection_policy(lad, bq_levels(lad), inst),
+                    lambda: run_lp_optimal(lad, adv, gamma, inst, plan),
+                    lambda: run_relaxed_optimal(lad, adv, gamma, 0.1, inst, plan)):
+            calls.clear()
+            assert len(run().accepted) == 3000
+            assert len(calls) <= 24
 
     def test_row_below_bookings_books_nothing(self):
         # [DERIVED] phase 1 sells 5 + 5 seats, filling base (5, 10); the
